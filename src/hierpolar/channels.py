@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .polar import SoftObservation, _as_bits
+from .polar import SoftObservation, _as_bits, _channel_llrs
 
 __all__ = [
     "ChannelLaw",
@@ -207,11 +207,5 @@ def transmit(x: np.ndarray, law: ChannelLaw, rng: np.random.Generator) -> SoftOb
     x = _as_bits(x)
     if x.ndim != 1:
         raise ValueError("transmit sends one block at a time")
-    if law.kind == "bsc":
-        flips = rng.random(x.shape) < law.param
-        y = x ^ flips
-        with np.errstate(divide="ignore"):
-            mag = np.log((1.0 - law.param) / law.param) if law.param > 0.0 else np.inf
-        return SoftObservation(llr=(1.0 - 2.0 * y) * mag)
-    erased = rng.random(x.shape) < law.param
-    return SoftObservation.with_erasures(x, erased)
+    llr = _channel_llrs(x, law, rng)
+    return SoftObservation(llr=llr, erased=(llr == 0.0) if law.is_erasure else None)

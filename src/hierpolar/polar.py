@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -56,9 +56,9 @@ class DecodeFailure(Exception):
     """Successive cancellation met an unresolvable erasure at an unfrozen bit."""
 
 
-def _require_block_length(n: int) -> int:
+def _require_block_length(n: int, what: str = "block length") -> int:
     if not isinstance(n, (int, np.integer)) or n < 1 or (n & (n - 1)) != 0:
-        raise ValueError(f"block length must be a power of two >= 1, got {n!r}")
+        raise ValueError(f"{what} must be a power of two >= 1, got {n!r}")
     return int(n)
 
 
@@ -163,7 +163,8 @@ def _doubling_recursion(z0: float, n: int) -> np.ndarray:
 
 
 def _channel_llrs(x: np.ndarray, law: "ChannelLaw", rng: np.random.Generator) -> np.ndarray:
-    # sampling mirror of channels.transmit for profile estimation
+    # one draw of rng.random(x.shape) per call: flips for a flip law,
+    # erasures (zero LLR) for an erasure law; channels.transmit samples here
     if law.kind == "bsc":
         flips = rng.random(x.shape) < law.param
         y = x ^ flips
@@ -177,20 +178,25 @@ def _channel_llrs(x: np.ndarray, law: "ChannelLaw", rng: np.random.Generator) ->
 
 
 def _genie_mc_profile(law: "ChannelLaw", n: int, trials: int, rng: np.random.Generator) -> np.ndarray:
+    # genie-aided SC: every partial sum uses the true bit, and each leaf
+    # counts the rows whose decision there would be wrong (erased, for an
+    # erasure law)
     bad = np.zeros(n, dtype=np.float64)
     done = 0
     chunk = max(1, min(trials, (1 << 22) // n))
     while done < trials:
         m = min(chunk, trials - done)
         u = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
-        x = polar_transform(u)
-        llr = _channel_llrs(x, law, rng)
-        leaf = _genie_leaf_llrs(llr, u)
-        if law.kind == "bsc":
-            decisions = (leaf <= 0.0).astype(np.uint8)
-            bad += (decisions != u).sum(axis=0)
-        else:
-            bad += (leaf == 0.0).sum(axis=0)
+        llr = _channel_llrs(polar_transform(u), law, rng)
+
+        def leaf(col: np.ndarray, i: int) -> np.ndarray:
+            if law.kind == "bsc":
+                bad[i] += np.count_nonzero((col <= 0.0) != u[:, i])
+            else:
+                bad[i] += np.count_nonzero(col == 0.0)
+            return u[:, i]
+
+        _successive_cancellation(llr, leaf)
         done += m
     return bad / float(trials)
 
@@ -263,9 +269,9 @@ class SoftObservation:
 
     def __post_init__(self) -> None:
         llr = np.asarray(self.llr, dtype=np.float64)
-        _require_block_length(llr.shape[-1])
         if llr.ndim != 1:
             raise ValueError("a SoftObservation holds a single block")
+        _require_block_length(llr.shape[0])
         erased = self.erased
         if erased is None:
             erased = np.zeros(llr.shape, dtype=bool)
@@ -366,6 +372,35 @@ def _g_combine(a: np.ndarray, b: np.ndarray, u_left: np.ndarray) -> np.ndarray:
     return out
 
 
+def _successive_cancellation(
+    llr: np.ndarray, leaf: Callable[[np.ndarray, int], np.ndarray]
+) -> None:
+    """The SC butterfly over a (batch, n) LLR array in codeword order.
+
+    At decoder-order position ``i`` it calls ``leaf(col, i)`` with the
+    (batch,) decision LLRs and feeds the (batch,) uint8 bits it returns
+    into the partial sums; the leaf rule alone decides what a bit is.
+    """
+    batch, n = llr.shape
+    work = np.ascontiguousarray(llr[:, bit_reversal_permutation(n)])
+
+    def descend(seg: np.ndarray, lo: int) -> np.ndarray:
+        width = seg.shape[1]
+        if width == 1:
+            return leaf(seg[:, 0], lo)[:, None]
+        half = width // 2
+        a = seg[:, :half]
+        b = seg[:, half:]
+        x_left = descend(_f_combine(a, b), lo)
+        x_right = descend(_g_combine(a, b, x_left), lo + half)
+        out = np.empty((batch, width), dtype=np.uint8)
+        out[:, :half] = x_left ^ x_right
+        out[:, half:] = x_right
+        return out
+
+    descend(work, 0)
+
+
 def sc_decode_batch(
     llr: np.ndarray,
     frozen_mask: np.ndarray,
@@ -410,58 +445,18 @@ def sc_decode_batch(
     if batch == 0:
         return decisions, ambiguous
 
-    work = np.ascontiguousarray(llr[:, bit_reversal_permutation(n)])
+    def leaf(col: np.ndarray, i: int) -> np.ndarray:
+        if frozen_mask[i]:
+            u = frozen_values[:, i]
+        else:
+            u = (col <= 0.0).astype(np.uint8)
+            if erasure_law:
+                np.logical_or(ambiguous, col == 0.0, out=ambiguous)
+        decisions[:, i] = u
+        return u
 
-    def descend(seg: np.ndarray, lo: int) -> np.ndarray:
-        width = seg.shape[1]
-        if width == 1:
-            col = seg[:, 0]
-            if frozen_mask[lo]:
-                u = frozen_values[:, lo]
-            else:
-                u = (col <= 0.0).astype(np.uint8)
-                if erasure_law:
-                    np.logical_or(ambiguous, col == 0.0, out=ambiguous)
-            decisions[:, lo] = u
-            return u[:, None]
-        half = width // 2
-        a = seg[:, :half]
-        b = seg[:, half:]
-        x_left = descend(_f_combine(a, b), lo)
-        x_right = descend(_g_combine(a, b, x_left), lo + half)
-        out = np.empty((batch, width), dtype=np.uint8)
-        out[:, :half] = x_left ^ x_right
-        out[:, half:] = x_right
-        return out
-
-    descend(work, 0)
+    _successive_cancellation(llr, leaf)
     return decisions, ambiguous
-
-
-def _genie_leaf_llrs(llr: np.ndarray, u_true: np.ndarray) -> np.ndarray:
-    # decision LLRs when every partial sum uses the true bit (genie aided);
-    # used for Monte Carlo reliability estimation
-    batch, n = llr.shape
-    work = np.ascontiguousarray(llr[:, bit_reversal_permutation(n)])
-    leaves = np.empty((batch, n), dtype=np.float64)
-
-    def descend(seg: np.ndarray, lo: int) -> np.ndarray:
-        width = seg.shape[1]
-        if width == 1:
-            leaves[:, lo] = seg[:, 0]
-            return u_true[:, lo][:, None]
-        half = width // 2
-        a = seg[:, :half]
-        b = seg[:, half:]
-        x_left = descend(_f_combine(a, b), lo)
-        x_right = descend(_g_combine(a, b, x_left), lo + half)
-        out = np.empty((batch, width), dtype=np.uint8)
-        out[:, :half] = x_left ^ x_right
-        out[:, half:] = x_right
-        return out
-
-    descend(work, 0)
-    return leaves
 
 
 def sc_decode(obs: SoftObservation, spec: PolarCodeSpec, law: "ChannelLaw") -> np.ndarray:

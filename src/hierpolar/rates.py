@@ -157,20 +157,17 @@ class LeakageBound:
     frame error rate over the random bits.
 
     ``bound_bits_total`` is ``fer * random_bit_count + H(fer)`` bits per
-    frame; ``per_channel_use`` divides by the frame length.  ``exponent_beta``
-    is a reporting-only rate exponent in (0, 0.5) describing the designed
-    polarization speed; it does not enter the bound.
+    frame; ``per_channel_use`` divides by the frame length.
     """
 
     bound_bits_total: float
     per_channel_use: float
     eve_fer: float
     random_bit_count: int
-    exponent_beta: float = 0.45
 
 
 def fano_leakage_bound(
-    eve_fer: float, random_bit_count: int, n: int, b: int, exponent_beta: float = 0.45
+    eve_fer: float, random_bit_count: int, n: int, b: int
 ) -> LeakageBound:
     """Bound the per-frame message leakage from the genie-aided eavesdropper's
     failure rate at recovering all random bits."""
@@ -179,15 +176,12 @@ def fano_leakage_bound(
         raise ValueError("random_bit_count must be nonnegative")
     if n < 1 or b < 1:
         raise ValueError("n and b must be positive")
-    if not (0.0 < exponent_beta < 0.5):
-        raise ValueError("exponent_beta must lie in (0, 0.5)")
     total = eve_fer * float(random_bit_count) + binary_entropy(eve_fer)
     return LeakageBound(
         bound_bits_total=total,
         per_channel_use=total / (float(n) * float(b)),
         eve_fer=eve_fer,
         random_bit_count=int(random_bit_count),
-        exponent_beta=exponent_beta,
     )
 
 

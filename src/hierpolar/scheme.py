@@ -49,8 +49,8 @@ from .channels import (
     classify_scenario,
 )
 from .polar import (
-    SoftObservation,
     _as_bits,
+    _require_block_length,
     polar_transform,
     polar_transform_inverse,
     reliability_profile,
@@ -82,7 +82,6 @@ __all__ = [
 CONSTRUCTIONS = ("bhattacharyya-bound", "genie-mc")
 
 _STRONG_LAYOUT = (ScenarioTag.SIM_A, ScenarioTag.IND_STRONG)
-_WEAK_LAYOUT = (ScenarioTag.SIM_B, ScenarioTag.IND_WEAK)
 
 
 class ConstructionInfeasibleError(Exception):
@@ -181,6 +180,19 @@ class HierarchicalCode:
         return self.partition.bec_info_eve
 
     @property
+    def random_info(self) -> np.ndarray:
+        """Positions of the random fill inside crossblock_random rows: the
+        main information set under shared fading, the eavesdropper's under
+        independent weak coupling (the rest of the main set carries
+        ``weak_extra_positions``), none in the strong layouts, which have
+        no crossblock_random class."""
+        if self.scenario is ScenarioTag.SIM_B:
+            return self.partition.bec_info_main
+        if self.scenario is ScenarioTag.IND_WEAK:
+            return self.partition.bec_info_eve
+        return np.empty(0, dtype=np.int64)
+
+    @property
     def secret_msg_positions(self) -> np.ndarray:
         return np.setdiff1d(np.arange(self.b), self.secret_info)
 
@@ -219,6 +231,8 @@ def build_partition(
     Monte Carlo (tighter rates; nesting is enforced by intersecting down the
     reliability chain).
     """
+    n = _require_block_length(n, "n (block length)")
+    b = _require_block_length(max(2, n // 8) if b is None else b, "b (blocks per frame)")
     tag = classify_scenario(params)
     if tag is ScenarioTag.UNSUPPORTED:
         raise UnsupportedScenarioError(
@@ -226,8 +240,6 @@ def build_partition(
         )
     if construction not in CONSTRUCTIONS:
         raise ValueError(f"construction must be one of {CONSTRUCTIONS}")
-    if b is None:
-        b = max(2, n // 8)
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
 
@@ -337,12 +349,6 @@ def bundle_shapes(code: HierarchicalCode) -> tuple[dict, dict]:
     P = code.partition
     info = code.secret_info
     extra = code.weak_extra_positions
-    if code.scenario is ScenarioTag.SIM_B:
-        t_cols = P.bec_info_main.size
-    elif code.scenario is ScenarioTag.IND_WEAK:
-        t_cols = P.bec_info_eve.size
-    else:
-        t_cols = 0
     msg_shapes = {
         "crossblock_secret": (P.crossblock_secret.size, P.b - info.size),
         "crossblock_message": (P.crossblock_message.size, P.bec_info_main.size),
@@ -352,7 +358,7 @@ def bundle_shapes(code: HierarchicalCode) -> tuple[dict, dict]:
     rnd_shapes = {
         "crossblock_secret": (P.crossblock_secret.size, info.size),
         "block_random": (P.b, P.block_random.size),
-        "crossblock_random": (P.crossblock_random.size, t_cols),
+        "crossblock_random": (P.crossblock_random.size, code.random_info.size),
     }
     return msg_shapes, rnd_shapes
 
@@ -480,37 +486,19 @@ def _check_shapes(actual: "_Bundle", expected: dict, what: str) -> None:
             raise ValueError(f"{what}.{k} must have shape {tuple(shp)}, got {tuple(arr.shape)}")
 
 
-def _phase_one_rows(
-    code: HierarchicalCode, msg: MessageBundle, rnd: RandomBundle
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cross-block row codewords: (secret_rows, message_rows, random_rows),
-    each (class size, b)."""
-    P = code.partition
-    b = code.b
-    info = code.secret_info
-    comp = code.secret_msg_positions
+def _placed(shape: tuple[int, int], *parts: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """A uint8 array of ``shape``, zero except that each ``(columns, bits)``
+    of ``parts`` fills those columns."""
+    out = np.zeros(shape, dtype=np.uint8)
+    for columns, bits in parts:
+        out[:, columns] = bits
+    return out
 
-    secret = np.zeros((P.crossblock_secret.size, b), dtype=np.uint8)
-    if secret.size:
-        secret[:, info] = rnd.crossblock_secret
-        secret[:, comp] = msg.crossblock_secret
-        secret = polar_transform(secret)
 
-    message = np.zeros((P.crossblock_message.size, b), dtype=np.uint8)
-    if message.size:
-        message[:, P.bec_info_main] = msg.crossblock_message
-        message = polar_transform(message)
-
-    random_rows = np.zeros((P.crossblock_random.size, b), dtype=np.uint8)
-    if random_rows.size:
-        if code.scenario is ScenarioTag.SIM_B:
-            random_rows[:, P.bec_info_main] = rnd.crossblock_random
-        else:
-            random_rows[:, P.bec_info_eve] = rnd.crossblock_random
-            random_rows[:, code.weak_extra_positions] = msg.crossblock_random_extra
-        random_rows = polar_transform(random_rows)
-
-    return secret, message, random_rows
+def _row_codewords(rows: int, b: int, *parts: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Cross-block row codewords: the transform of ``_placed((rows, b), *parts)``."""
+    fill = _placed((rows, b), *parts)
+    return polar_transform(fill) if fill.size else fill
 
 
 def encode(code: HierarchicalCode, msg: MessageBundle, rnd: RandomBundle) -> BitMatrix:
@@ -520,18 +508,31 @@ def encode(code: HierarchicalCode, msg: MessageBundle, rnd: RandomBundle) -> Bit
     _check_shapes(msg, msg_shapes, "msg")
     _check_shapes(rnd, rnd_shapes, "rnd")
     P = code.partition
-    secret, message, random_rows = _phase_one_rows(code, msg, rnd)
+    b = code.b
+    secret = _row_codewords(
+        P.crossblock_secret.size,
+        b,
+        (code.secret_info, rnd.crossblock_secret),
+        (code.secret_msg_positions, msg.crossblock_secret),
+    )
+    message = _row_codewords(
+        P.crossblock_message.size, b, (P.bec_info_main, msg.crossblock_message)
+    )
+    random_rows = _row_codewords(
+        P.crossblock_random.size,
+        b,
+        (code.random_info, rnd.crossblock_random),
+        (code.weak_extra_positions, msg.crossblock_random_extra),
+    )
 
-    pre = np.zeros((code.b, code.n), dtype=np.uint8)
-    pre[:, P.block_random] = rnd.block_random
-    if P.crossblock_secret.size:
-        pre[:, P.crossblock_secret] = secret.T
-    if P.perblock_message.size:
-        pre[:, P.perblock_message] = msg.per_block
-    if P.crossblock_message.size:
-        pre[:, P.crossblock_message] = message.T
-    if P.crossblock_random.size:
-        pre[:, P.crossblock_random] = random_rows.T
+    pre = _placed(
+        (b, code.n),
+        (P.block_random, rnd.block_random),
+        (P.crossblock_secret, secret.T),
+        (P.perblock_message, msg.per_block),
+        (P.crossblock_message, message.T),
+        (P.crossblock_random, random_rows.T),
+    )
     return BitMatrix(bits=polar_transform(pre))
 
 
@@ -545,19 +546,6 @@ class DecodeStatus:
     failed_phase: str | None = None
 
 
-def _stack_observations(
-    observations, code: HierarchicalCode
-) -> np.ndarray:
-    if len(observations) != code.b:
-        raise ValueError(f"need {code.b} block observations, got {len(observations)}")
-    rows = []
-    for obs in observations:
-        if len(obs) != code.n:
-            raise ValueError("observation length does not match block length")
-        rows.append(obs.llr)
-    return np.stack(rows)
-
-
 def _mask_of(n: int, *index_sets: np.ndarray) -> np.ndarray:
     mask = np.zeros(n, dtype=bool)
     for s in index_sets:
@@ -565,22 +553,60 @@ def _mask_of(n: int, *index_sets: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _row_erasure_decode(
-    values: np.ndarray,
-    known_cols: np.ndarray,
-    unfrozen: np.ndarray,
-    frozen_values: np.ndarray,
-    b: int,
-) -> tuple[np.ndarray, bool]:
-    """Decode cross-block rows whose entries at ``known_cols`` are certain and
-    elsewhere erased.  Returns (decoder-order decisions, ambiguity flag)."""
-    if values.shape[0] == 0:
-        return np.zeros((0, b), dtype=np.uint8), False
-    llr = (1.0 - 2.0 * values.astype(np.float64)) * np.inf
-    llr[:, ~known_cols] = 0.0
-    frozen_mask = ~_mask_of(b, unfrozen)
-    decisions, ambiguous = sc_decode_batch(llr, frozen_mask, frozen_values, erasure_law=True)
-    return decisions, bool(ambiguous.any())
+def _three_phase(
+    code: HierarchicalCode,
+    observations,
+    superior: np.ndarray,
+    pinned: np.ndarray,
+    sup_frozen: np.ndarray,
+    row_groups: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    deg_frozen: np.ndarray,
+) -> tuple[np.ndarray, list[np.ndarray], DecodeStatus]:
+    """The hierarchical decoder both receivers run, fed by a receiver's table.
+
+    ``superior`` is the receiver's (b,) state vector and ``pinned`` a (b, n)
+    array of the bits it knows before decoding, zero elsewhere.  Phase one
+    decodes the superior blocks with the ``sup_frozen`` positions pinned.
+    Phase two decodes each ``(columns, info, fill)`` row group: the
+    cross-block rows at per-block positions ``columns``, certain on superior
+    blocks and erased on degraded ones, as a length-b erasure code with
+    information set ``info`` and frozen bits ``fill``.  Phase three decodes
+    the degraded blocks with the ``deg_frozen`` positions pinned, the
+    phase-two rows among them.
+
+    Returns the (b, n) pre-transform decisions (``pinned``, filled in), each
+    group's decoder-order row decisions and the frame's status.
+    """
+    if superior.shape[0] != code.b:
+        raise ValueError("trace length does not match frame")
+    if len(observations) != code.b:
+        raise ValueError(f"need {code.b} block observations, got {len(observations)}")
+    if any(len(obs) != code.n for obs in observations):
+        raise ValueError("observation length does not match block length")
+    llr = np.stack([obs.llr for obs in observations])
+    deg = ~superior
+    pre_hat = pinned
+
+    dec_sup, _ = sc_decode_batch(llr[superior], sup_frozen, pre_hat[superior], erasure_law=False)
+    pre_hat[superior] = dec_sup
+
+    rows = []
+    ambiguous = False
+    for columns, info, fill in row_groups:
+        dec_rows = np.zeros((columns.size, code.b), dtype=np.uint8)
+        if columns.size:
+            row_llr = (1.0 - 2.0 * pre_hat[:, columns].T) * np.inf
+            row_llr[:, deg] = 0.0
+            frozen = ~_mask_of(code.b, info)
+            dec_rows, amb = sc_decode_batch(row_llr, frozen, fill, erasure_law=True)
+            pre_hat[:, columns] = polar_transform(dec_rows).T
+            ambiguous = ambiguous or bool(amb.any())
+        rows.append(dec_rows)
+
+    dec_deg, _ = sc_decode_batch(llr[deg], deg_frozen, pre_hat[deg], erasure_law=False)
+    pre_hat[deg] = dec_deg
+    status = DecodeStatus(ok=not ambiguous, failed_phase="phase2" if ambiguous else None)
+    return pre_hat, rows, status
 
 
 def bob_decode(
@@ -588,58 +614,33 @@ def bob_decode(
 ) -> tuple[MessageBundle, RandomBundle, DecodeStatus]:
     """Intended-receiver decoder (knows the trace, not the sent bits).
 
-    Phase one: successive cancellation on superior blocks with only the
-    frozen class pinned.  Phase two: erasure decoding of the cross-block
-    message/random rows, whose degraded-block entries are erasures.  Phase
-    three: degraded blocks with the phase-two rows pinned.  The
-    crossblock_secret rows are then fully known and inverted to split message
-    from randomness.
+    Runs the three phases with only the frozen class pinned on superior
+    blocks and the cross-block message/random rows decoded in phase two.
+    The crossblock_secret rows are then fully known and inverted to split
+    message from randomness.
     """
     P = code.partition
     b, n = code.b, code.n
-    if trace.blocks != b:
-        raise ValueError("trace length does not match frame")
-    llr = _stack_observations(observations, code)
-    sup = trace.main_superior
-    deg = ~sup
-
-    pre_hat = np.zeros((b, n), dtype=np.uint8)
-
-    mask_frozen = _mask_of(n, P.frozen)
-    dec_sup, _ = sc_decode_batch(
-        llr[sup], mask_frozen, np.zeros(n, dtype=np.uint8), erasure_law=False
-    )
-    pre_hat[sup] = dec_sup
-
-    # cross-block rows Bob only sees on superior blocks; both row kinds use
-    # the main information set with zero frozen fill
+    # both row kinds carry bits only on the main information set: random
+    # rows hold their fill on random_info and the weak-extra message slice
+    # on the rest of it
     row_classes = np.concatenate([P.crossblock_message, P.crossblock_random])
-    row_vals = pre_hat[:, row_classes].T
-    dec_rows, ambiguous = _row_erasure_decode(
-        row_vals, sup, P.bec_info_main, np.zeros(b, dtype=np.uint8), b
+    pre_hat, (dec_rows,), status = _three_phase(
+        code,
+        observations,
+        trace.main_superior,
+        pinned=np.zeros((b, n), dtype=np.uint8),
+        sup_frozen=_mask_of(n, P.frozen),
+        row_groups=[(row_classes, P.bec_info_main, np.zeros(b, dtype=np.uint8))],
+        deg_frozen=_mask_of(n, P.frozen, P.crossblock_message, P.crossblock_random),
     )
-    if dec_rows.shape[0]:
-        pre_hat[:, row_classes] = polar_transform(dec_rows).T
-
-    mask_deg = _mask_of(n, P.frozen, P.crossblock_message, P.crossblock_random)
-    dec_deg, _ = sc_decode_batch(llr[deg], mask_deg, pre_hat[deg], erasure_law=False)
-    pre_hat[deg] = dec_deg
 
     n_msg = P.crossblock_message.size
     msg_rows = dec_rows[:n_msg]
     rnd_rows = dec_rows[n_msg:]
 
     secret_vals = pre_hat[:, P.crossblock_secret].T
-    secret_pre = polar_transform_inverse(secret_vals) if secret_vals.size else secret_vals.reshape(
-        (P.crossblock_secret.size, b)
-    )
-
-    if code.scenario is ScenarioTag.SIM_B:
-        t_hat = rnd_rows[:, P.bec_info_main]
-    elif code.scenario is ScenarioTag.IND_WEAK:
-        t_hat = rnd_rows[:, P.bec_info_eve]
-    else:
-        t_hat = rnd_rows[:, np.empty(0, dtype=np.int64)]
+    secret_pre = polar_transform_inverse(secret_vals) if secret_vals.size else secret_vals
 
     msg_hat = MessageBundle(
         crossblock_secret=secret_pre[:, code.secret_msg_positions],
@@ -650,9 +651,8 @@ def bob_decode(
     rnd_hat = RandomBundle(
         crossblock_secret=secret_pre[:, code.secret_info],
         block_random=pre_hat[:, P.block_random],
-        crossblock_random=t_hat,
+        crossblock_random=rnd_rows[:, code.random_info],
     )
-    status = DecodeStatus(ok=not ambiguous, failed_phase="phase2" if ambiguous else None)
     return msg_hat, rnd_hat, status
 
 
@@ -665,77 +665,44 @@ def eve_genie_decode(
 
     Mirrors the receiver's three phases with the eavesdropper's flip laws and
     its own state trace; message-bearing classes are pinned from the genie
-    instead of decoded.
+    instead of decoded, and the secret and random rows are decoded on their
+    random-fill information sets with the message slices as frozen bits.
     """
     P = code.partition
     b, n = code.b, code.n
-    if trace.blocks != b:
-        raise ValueError("trace length does not match frame")
     msg_shapes, _ = bundle_shapes(code)
     _check_shapes(msg, msg_shapes, "msg")
-    llr = _stack_observations(observations, code)
-    sup = trace.eve_superior
-    deg = ~sup
-    strong = code.scenario in _STRONG_LAYOUT
 
-    # re-encode the genie-known crossblock message rows
-    message_rows = np.zeros((P.crossblock_message.size, b), dtype=np.uint8)
-    if message_rows.size:
-        message_rows[:, P.bec_info_main] = msg.crossblock_message
-        message_rows = polar_transform(message_rows)
-
-    pre_hat = np.zeros((b, n), dtype=np.uint8)
-    if P.crossblock_message.size:
-        pre_hat[:, P.crossblock_message] = message_rows.T
-    if strong and P.perblock_message.size:
-        pre_hat[:, P.perblock_message] = msg.per_block
-
-    if strong:
-        mask_sup = _mask_of(n, P.frozen, P.perblock_message, P.crossblock_message)
-    else:
-        mask_sup = _mask_of(n, P.frozen, P.crossblock_message)
-    dec_sup, _ = sc_decode_batch(llr[sup], mask_sup, pre_hat[sup], erasure_law=False)
-    pre_hat[sup] = dec_sup
-
-    # secret rows: genie pins the message slice, the random fill is decoded
-    # across this trace's erasures
-    info = code.secret_info
-    comp = code.secret_msg_positions
-    frozen_fill = np.zeros((P.crossblock_secret.size, b), dtype=np.uint8)
-    if frozen_fill.size:
-        frozen_fill[:, comp] = msg.crossblock_secret
-    secret_vals = pre_hat[:, P.crossblock_secret].T
-    dec_secret, amb_secret = _row_erasure_decode(secret_vals, sup, info, frozen_fill, b)
-    if dec_secret.shape[0]:
-        pre_hat[:, P.crossblock_secret] = polar_transform(dec_secret).T
-
-    amb_random = False
-    t_hat = np.zeros((P.crossblock_random.size, 0), dtype=np.uint8)
-    if P.crossblock_random.size:
-        if code.scenario is ScenarioTag.SIM_B:
-            unfrozen = P.bec_info_main
-            fill = np.zeros(b, dtype=np.uint8)
-        else:
-            unfrozen = P.bec_info_eve
-            fill = np.zeros((P.crossblock_random.size, b), dtype=np.uint8)
-            fill[:, code.weak_extra_positions] = msg.crossblock_random_extra
-        random_vals = pre_hat[:, P.crossblock_random].T
-        dec_random, amb_random = _row_erasure_decode(random_vals, sup, unfrozen, fill, b)
-        pre_hat[:, P.crossblock_random] = polar_transform(dec_random).T
-        t_hat = dec_random[:, unfrozen]
-
-    mask_deg = np.ones(n, dtype=bool)
-    mask_deg[P.block_random] = False
-    dec_deg, _ = sc_decode_batch(llr[deg], mask_deg, pre_hat[deg], erasure_law=False)
-    pre_hat[deg] = dec_deg
+    message_rows = _row_codewords(
+        P.crossblock_message.size, b, (P.bec_info_main, msg.crossblock_message)
+    )
+    pinned = _placed(
+        (b, n), (P.crossblock_message, message_rows.T), (P.perblock_message, msg.per_block)
+    )
+    secret_fill = _placed(
+        (P.crossblock_secret.size, b), (code.secret_msg_positions, msg.crossblock_secret)
+    )
+    random_fill = _placed(
+        (P.crossblock_random.size, b), (code.weak_extra_positions, msg.crossblock_random_extra)
+    )
+    pre_hat, (dec_secret, dec_random), status = _three_phase(
+        code,
+        observations,
+        trace.eve_superior,
+        pinned=pinned,
+        sup_frozen=_mask_of(n, P.frozen, P.perblock_message, P.crossblock_message),
+        row_groups=[
+            (P.crossblock_secret, code.secret_info, secret_fill),
+            (P.crossblock_random, code.random_info, random_fill),
+        ],
+        deg_frozen=~_mask_of(n, P.block_random),
+    )
 
     rnd_hat = RandomBundle(
-        crossblock_secret=dec_secret[:, info],
+        crossblock_secret=dec_secret[:, code.secret_info],
         block_random=pre_hat[:, P.block_random],
-        crossblock_random=t_hat,
+        crossblock_random=dec_random[:, code.random_info],
     )
-    ambiguous = amb_secret or amb_random
-    status = DecodeStatus(ok=not ambiguous, failed_phase="phase2" if ambiguous else None)
     return rnd_hat, status
 
 

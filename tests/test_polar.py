@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hierpolar import (
     DecodeFailure,
@@ -20,6 +23,7 @@ from hierpolar import (
     sc_decode_batch,
     select_good_set,
 )
+from hierpolar.polar import _channel_llrs, _f_combine, _g_combine
 
 
 def dense_generator(n: int) -> np.ndarray:
@@ -314,6 +318,8 @@ def test_soft_observation_constructors():
     assert obs2.erased.tolist() == [False, True, False, True]
     with pytest.raises(ValueError):
         SoftObservation(llr=np.ones(4), erased=np.array([True, False, False, False]))
+    with pytest.raises(ValueError, match="single block"):
+        SoftObservation(np.float64(1.0))
 
 
 def test_code_spec_validation():
@@ -326,3 +332,83 @@ def test_code_spec_validation():
     spec = PolarCodeSpec(n=4, unfrozen=np.array([3, 1]))
     assert spec.unfrozen.tolist() == [1, 3]
     assert spec.frozen_mask().tolist() == [True, False, True, False]
+
+
+def reference_sc(llr, frozen_mask, frozen_values, erasure_law):
+    """Plain SC on one row, after Arikan's recursion for x = u B_n F^k:
+    the LLR of u_i splits y into halves and the earlier decisions into odd
+    and even parts, and is recomputed from scratch for every i.  Returns the
+    decisions, the ambiguity flag and the decision LLRs."""
+
+    def bit_llr(y: np.ndarray, u: np.ndarray) -> np.ndarray:
+        if y.size == 1:
+            return y
+        half, k = y.size // 2, u.size // 2
+        odd_xor_even = u[0 : 2 * k : 2] ^ u[1 : 2 * k : 2]
+        upper = bit_llr(y[:half], odd_xor_even)
+        lower = bit_llr(y[half:], u[1 : 2 * k : 2])
+        if u.size % 2 == 0:
+            return _f_combine(upper, lower)
+        return _g_combine(upper, lower, u[-1:])
+
+    n = llr.size
+    u = np.zeros(n, dtype=np.uint8)
+    leaves = np.zeros(n)
+    ambiguous = False
+    for i in range(n):
+        leaves[i] = bit_llr(llr, u[:i])[0]
+        if frozen_mask[i]:
+            u[i] = frozen_values[i]
+        else:
+            u[i] = leaves[i] <= 0.0
+            ambiguous |= erasure_law and leaves[i] == 0.0
+    return u, ambiguous, leaves
+
+
+LLR_VALUES = st.one_of(
+    st.sampled_from([0.0, np.inf, -np.inf, 36.0, -36.0, 1e300, -1e300]),
+    st.floats(-60.0, 60.0),
+)
+
+
+@st.composite
+def sc_inputs(draw):
+    # fill=nothing() draws every entry on its own instead of repeating one
+    # fill value, which would hide most partial-sum faults
+    n = draw(st.sampled_from([1, 2, 4, 8, 16]))
+    rows = draw(st.integers(1, 4))
+    llr = draw(hnp.arrays(np.float64, (rows, n), elements=LLR_VALUES, fill=st.nothing()))
+    frozen_mask = draw(hnp.arrays(bool, n, elements=st.booleans(), fill=st.nothing()))
+    shape = (rows, n) if draw(st.booleans()) else (n,)
+    frozen_values = draw(hnp.arrays(np.uint8, shape, elements=st.integers(0, 1), fill=st.nothing()))
+    return llr, frozen_mask, frozen_values, draw(st.booleans())
+
+
+@given(sc_inputs())
+def test_sc_batch_matches_reference_recursion(case):
+    llr, frozen_mask, frozen_values, erasure_law = case
+    decisions, ambiguous = sc_decode_batch(llr, frozen_mask, frozen_values, erasure_law)
+    values = np.broadcast_to(frozen_values, llr.shape)
+    for row in range(llr.shape[0]):
+        want, want_ambiguous, _ = reference_sc(llr[row], frozen_mask, values[row], erasure_law)
+        assert decisions[row].tolist() == want.tolist()
+        assert ambiguous[row] == want_ambiguous
+
+
+@given(
+    st.sampled_from([bsc(0.11), bsc(0.3), bec(0.4)]),
+    st.sampled_from([2, 4, 8, 16]),
+    st.integers(1, 40),
+    st.integers(0, 2**32 - 1),
+)
+def test_genie_profile_matches_reference_genie_counts(law, n, trials, seed):
+    z = reliability_profile(law, n, "genie-mc", trials=trials, rng=np.random.default_rng(seed)).z
+    # the profile's draws: the bits of every trial, then the channel
+    rng = np.random.default_rng(seed)
+    u = rng.integers(0, 2, size=(trials, n), dtype=np.uint8)
+    llr = _channel_llrs(polar_transform(u), law, rng)
+    bad = np.zeros(n)
+    for row in range(trials):
+        _, _, leaves = reference_sc(llr[row], np.ones(n, dtype=bool), u[row], law.is_erasure)
+        bad += (leaves == 0.0) if law.is_erasure else ((leaves <= 0.0) != u[row])
+    assert z.tolist() == (bad / trials).tolist()

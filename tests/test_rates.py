@@ -230,8 +230,6 @@ def test_fano_bound_validation():
         fano_leakage_bound(0.1, -1, 4, 2)
     with pytest.raises(ValueError):
         fano_leakage_bound(0.1, 10, 0, 2)
-    with pytest.raises(ValueError):
-        fano_leakage_bound(0.1, 10, 4, 2, exponent_beta=0.5)
 
 
 def test_rate_report_established_scenarios():

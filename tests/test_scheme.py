@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hierpolar import (
     FadingTrace,
@@ -118,6 +120,10 @@ def test_partition_validation():
         build_partition(SIM_A, 64, 16, delta=1.0)
     with pytest.raises(ValueError):
         build_partition(SIM_A, 63, 16)
+    with pytest.raises(ValueError, match=r"^b \(blocks per frame\) must be a power of two"):
+        build_partition(SIM_A, 64, 12)
+    with pytest.raises(ValueError, match=r"^n \(block length\) must be a power of two"):
+        build_partition(SIM_A, 48, 8)
     with pytest.raises(ValueError):
         build_partition(SIM_A, 64, 16, construction="dense-evolution")
     unsupported = WiretapParams(
@@ -268,6 +274,44 @@ def test_noiseless_roundtrip_all_scenarios_small():
         code = build_code(params, 64, 16)
         for _ in range(25):
             roundtrip_once(code, rng)
+
+
+@given(
+    st.sampled_from(ALL_SCENARIOS),
+    st.sampled_from([4, 8, 16, 32]),
+    st.sampled_from([2, 4, 8, 16, 32]),
+    st.floats(0.05, 0.95),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_decoders_never_guess_on_certain_observations(params, n, b, delta, seed, data):
+    # a noiseless frame leaves only the erasure layer uncertain: a decoder
+    # either recovers every bit or reports a phase-two failure
+    code = build_code(params, n, b, delta)
+    rng = np.random.default_rng(seed)
+    msg = MessageBundle.random(code, rng)
+    rnd = RandomBundle.random(code, rng)
+    obs = noiseless_obs(encode(code, msg, rnd))
+
+    def states() -> np.ndarray:
+        # a uniform count of superior blocks reaches the all-degraded traces
+        # where the erasure layer is ambiguous
+        superior = np.zeros(b, dtype=bool)
+        superior[rng.permutation(b)[: data.draw(st.integers(0, b))]] = True
+        return superior
+
+    main = states()
+    eve = main if params.coupling == "simultaneous" else states()
+    trace = FadingTrace(main, eve)
+
+    msg_hat, rnd_hat, status = bob_decode(code, obs, trace)
+    assert status.failed_phase == (None if status.ok else "phase2")
+    if status.ok:
+        assert msg_hat.same_bits(msg) and rnd_hat.same_bits(rnd)
+    rnd_eve, eve_status = eve_genie_decode(code, obs, trace, msg)
+    assert eve_status.failed_phase == (None if eve_status.ok else "phase2")
+    if eve_status.ok:
+        assert rnd_eve.same_bits(rnd)
 
 
 def test_all_superior_trace_recovers_without_erasure_decoding():

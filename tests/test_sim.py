@@ -8,6 +8,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hierpolar import (
     SimConfig,
@@ -27,6 +29,9 @@ from hierpolar import (
 from hierpolar.sim import TRIAL_FIELDS, _manual_toy
 
 SIM_A = WiretapParams(p1=0.02, p2=0.05, p1s=0.11, p2s=0.15, q1=0.5)
+IND_WEAK = WiretapParams(
+    p1=0.02, p2=0.11, p1s=0.05, p2s=0.15, q1=0.6, q1s=0.4, coupling="independent"
+)
 
 
 def small_config(**kw) -> SimConfig:
@@ -79,6 +84,18 @@ def test_run_simulation_is_deterministic():
     da.pop("wall_seconds")
     db.pop("wall_seconds")
     assert da == db
+
+
+SHORT_CODES = {params: build_code(params, 16, 8, 0.5) for params in (SIM_A, IND_WEAK)}
+
+
+@given(st.sampled_from(list(SHORT_CODES)), st.integers(1, 4), st.integers(0, 2**63 - 1))
+def test_trials_are_independent_of_run_length(params, trials, seed):
+    def records(count: int) -> list:
+        config = SimConfig(params=params, n=16, b=8, trials=count, seed=seed, delta=0.5)
+        return run_simulation(config, code=SHORT_CODES[params])[1]
+
+    assert records(trials) == records(trials + 3)[:trials]
 
 
 def test_summary_aggregates_match_records():
