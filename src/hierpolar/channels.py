@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .polar import SoftObservation, _as_bits, _channel_llrs
+from .polar import _as_bits, _channel_llrs
 
 __all__ = [
     "ChannelLaw",
@@ -197,15 +197,28 @@ def sample_fading(params: WiretapParams, b: int, rng: np.random.Generator) -> Fa
     return FadingTrace(main_superior=main, eve_superior=eve)
 
 
-def transmit(x: np.ndarray, law: ChannelLaw, rng: np.random.Generator) -> SoftObservation:
-    """Send a bit vector through ``law`` and return the soft observation.
+def transmit(
+    x: np.ndarray,
+    superior: np.ndarray,
+    laws: tuple[ChannelLaw, ChannelLaw],
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Send a (b, n) frame of bits and return its (b, n) float64 LLRs.
 
-    Flip laws yield finite LLRs of magnitude ``log((1-p)/p)`` (infinite at
-    p = 0, zero at p = 0.5); erasure laws yield certainties with structural
-    erasures at the erased positions.
+    Row ``i`` goes through ``laws[0]`` where ``superior[i]`` is true and
+    through ``laws[1]`` otherwise.  The noise is one ``rng.random((b, n))``
+    draw, the same values as ``b`` successive ``rng.random(n)`` draws, so
+    row ``i`` sees the noise a per-block transmission in row order would.
+    Flip laws yield LLRs of magnitude ``log((1-p)/p)`` (infinite at p = 0,
+    zero at p = 0.5); erasure laws yield certainties, with zero LLRs at the
+    erased positions.
     """
     x = _as_bits(x)
-    if x.ndim != 1:
-        raise ValueError("transmit sends one block at a time")
-    llr = _channel_llrs(x, law, rng)
-    return SoftObservation(llr=llr, erased=(llr == 0.0) if law.is_erasure else None)
+    superior = np.asarray(superior, dtype=bool)
+    if x.ndim != 2:
+        raise ValueError(f"x must be a (b, n) frame, got shape {x.shape}")
+    if superior.shape != x.shape[:1]:
+        raise ValueError(f"superior must have shape {x.shape[:1]}, got {superior.shape}")
+    if len(laws) != 2:
+        raise ValueError("laws must be a (superior, degraded) pair")
+    return _channel_llrs(x, superior, laws, rng)

@@ -16,15 +16,15 @@ cancellation decides bits.  Indices are 0-based.  The reliability recursion
 Log-likelihood ratios are ``log(P(y|bit=0) / P(y|bit=1))``: positive favours
 bit 0.  ``+inf`` / ``-inf`` encode certainty, 0 encodes a structural erasure
 or a likelihood tie.  Ties on unfrozen decisions decode to bit 1.  For erasure
-laws a zero LLR at an unfrozen decision is a genuine ambiguity and is reported
-as a decode failure, never silently guessed.
+laws a zero LLR at an unfrozen decision is a genuine ambiguity and is flagged
+in the ambiguity mask of :func:`sc_decode_batch`, never silently guessed.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -32,15 +32,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from .channels import ChannelLaw
 
 __all__ = [
-    "DecodeFailure",
-    "PolarCodeSpec",
     "ReliabilityProfile",
-    "SoftObservation",
     "bit_reversal_permutation",
     "polar_transform",
     "polar_transform_inverse",
     "reliability_profile",
-    "sc_decode",
     "sc_decode_batch",
     "select_good_set",
 ]
@@ -52,21 +48,17 @@ PROFILE_METHODS = ("exact-bec", "bhattacharyya-bound", "genie-mc")
 _ATANH_LIMIT = 1.0 - 1e-15
 
 
-class DecodeFailure(Exception):
-    """Successive cancellation met an unresolvable erasure at an unfrozen bit."""
-
-
 def _require_block_length(n: int, what: str = "block length") -> int:
     if not isinstance(n, (int, np.integer)) or n < 1 or (n & (n - 1)) != 0:
         raise ValueError(f"{what} must be a power of two >= 1, got {n!r}")
     return int(n)
 
 
-def _as_bits(v: np.ndarray | Iterable[int]) -> np.ndarray:
+def _as_bits(v: np.ndarray | Iterable[int], what: str = "bit vectors") -> np.ndarray:
     arr = np.asarray(v)
     if arr.dtype != np.uint8:
         if not np.isin(arr, (0, 1)).all():
-            raise ValueError("bit vectors may only contain 0 and 1")
+            raise ValueError(f"{what} may only contain 0 and 1")
         arr = arr.astype(np.uint8)
     return arr
 
@@ -162,18 +154,33 @@ def _doubling_recursion(z0: float, n: int) -> np.ndarray:
     return np.clip(z, 0.0, 1.0)
 
 
-def _channel_llrs(x: np.ndarray, law: "ChannelLaw", rng: np.random.Generator) -> np.ndarray:
-    # one draw of rng.random(x.shape) per call: flips for a flip law,
-    # erasures (zero LLR) for an erasure law; channels.transmit samples here
-    if law.kind == "bsc":
-        flips = rng.random(x.shape) < law.param
-        y = x ^ flips
-        with np.errstate(divide="ignore"):
-            mag = np.log((1.0 - law.param) / law.param) if law.param > 0 else np.inf
-        return (1.0 - 2.0 * y) * mag
-    erased = rng.random(x.shape) < law.param
-    llr = (1.0 - 2.0 * x.astype(np.float64)) * np.inf
-    llr[erased] = 0.0
+def _llr_magnitude(law: "ChannelLaw") -> float:
+    # certainty for an erasure law (its unerased outputs are exact)
+    if law.kind == "bec":
+        return np.inf
+    with np.errstate(divide="ignore"):
+        return np.log((1.0 - law.param) / law.param) if law.param > 0 else np.inf
+
+
+def _channel_llrs(
+    x: np.ndarray, superior: np.ndarray, laws: Sequence["ChannelLaw"], rng: np.random.Generator
+) -> np.ndarray:
+    # one draw of rng.random(x.shape) for the (rows, n) bits x: row i goes
+    # through laws[0] where superior[i], else laws[1].  A flip law flips the
+    # bits its draw hits, an erasure law zeroes their LLRs.  Each law's
+    # magnitude is one scalar, selected per row and never recomputed over an
+    # array, so a row's LLRs do not depend on the other rows' laws.
+    # channels.transmit samples here
+    sup, deg = laws
+
+    def pick(a, b) -> np.ndarray:
+        return np.where(superior, a, b)[:, None]
+
+    hit = rng.random(x.shape) < pick(sup.param, deg.param)
+    erasure = pick(sup.is_erasure, deg.is_erasure)
+    mag = pick(_llr_magnitude(sup), _llr_magnitude(deg))
+    llr = np.where(x ^ (hit & ~erasure), -mag, mag)
+    llr[hit & erasure] = 0.0
     return llr
 
 
@@ -187,7 +194,7 @@ def _genie_mc_profile(law: "ChannelLaw", n: int, trials: int, rng: np.random.Gen
     while done < trials:
         m = min(chunk, trials - done)
         u = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
-        llr = _channel_llrs(polar_transform(u), law, rng)
+        llr = _channel_llrs(polar_transform(u), np.ones(m, dtype=bool), (law, law), rng)
 
         def leaf(col: np.ndarray, i: int) -> np.ndarray:
             if law.kind == "bsc":
@@ -253,94 +260,6 @@ def select_good_set(profile: ReliabilityProfile, threshold: float) -> np.ndarray
     if not (0.0 < threshold <= 1.0):
         raise ValueError(f"threshold must lie in (0, 1], got {threshold!r}")
     return np.nonzero(profile.z <= threshold)[0].astype(np.int64)
-
-
-@dataclass(frozen=True)
-class SoftObservation:
-    """Channel output in LLR form plus a structural erasure mask.
-
-    ``llr[i] == +inf`` means position i is certainly 0, ``-inf`` certainly 1,
-    finite values are soft evidence and entries flagged in ``erased`` carry no
-    information (their LLR is pinned to 0).
-    """
-
-    llr: np.ndarray
-    erased: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        llr = np.asarray(self.llr, dtype=np.float64)
-        if llr.ndim != 1:
-            raise ValueError("a SoftObservation holds a single block")
-        _require_block_length(llr.shape[0])
-        erased = self.erased
-        if erased is None:
-            erased = np.zeros(llr.shape, dtype=bool)
-        else:
-            erased = np.asarray(erased, dtype=bool)
-            if erased.shape != llr.shape:
-                raise ValueError("erasure mask shape must match llr shape")
-        if (llr[erased] != 0.0).any():
-            raise ValueError("erased positions must carry zero LLR")
-        object.__setattr__(self, "llr", llr)
-        object.__setattr__(self, "erased", erased)
-
-    @classmethod
-    def certain(cls, bits: np.ndarray | Iterable[int]) -> "SoftObservation":
-        """Observation of a perfectly known bit vector."""
-        bits = _as_bits(bits)
-        return cls(llr=(1.0 - 2.0 * bits.astype(np.float64)) * np.inf)
-
-    @classmethod
-    def with_erasures(
-        cls, bits: np.ndarray | Iterable[int], erased: np.ndarray | Iterable[bool]
-    ) -> "SoftObservation":
-        """Known bits except at flagged positions, which are structural erasures."""
-        bits = _as_bits(bits)
-        erased = np.asarray(list(erased) if not isinstance(erased, np.ndarray) else erased, dtype=bool)
-        llr = (1.0 - 2.0 * bits.astype(np.float64)) * np.inf
-        llr[erased] = 0.0
-        return cls(llr=llr, erased=erased)
-
-    def __len__(self) -> int:
-        return int(self.llr.shape[0])
-
-
-@dataclass(frozen=True)
-class PolarCodeSpec:
-    """Block length, unfrozen index set and (optional) frozen bit values.
-
-    ``frozen_values`` maps frozen indices to bits; omitted means all zero.
-    When provided it must cover exactly the complement of ``unfrozen``.
-    """
-
-    n: int
-    unfrozen: np.ndarray
-    frozen_values: Mapping[int, int] | None = None
-
-    def __post_init__(self) -> None:
-        n = _require_block_length(self.n)
-        unfrozen = np.unique(np.asarray(self.unfrozen, dtype=np.int64))
-        if unfrozen.size and (unfrozen[0] < 0 or unfrozen[-1] >= n):
-            raise ValueError("unfrozen indices out of range")
-        object.__setattr__(self, "unfrozen", unfrozen)
-        if self.frozen_values is not None:
-            frozen = set(range(n)) - set(unfrozen.tolist())
-            if set(self.frozen_values) != frozen:
-                raise ValueError("frozen_values must be keyed exactly by the frozen set")
-            if any(v not in (0, 1) for v in self.frozen_values.values()):
-                raise ValueError("frozen values must be bits")
-
-    def frozen_mask(self) -> np.ndarray:
-        mask = np.ones(self.n, dtype=bool)
-        mask[self.unfrozen] = False
-        return mask
-
-    def frozen_vector(self) -> np.ndarray:
-        vec = np.zeros(self.n, dtype=np.uint8)
-        if self.frozen_values:
-            for idx, bit in self.frozen_values.items():
-                vec[idx] = bit
-        return vec
 
 
 def _f_combine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -412,11 +331,11 @@ def sc_decode_batch(
     Parameters
     ----------
     llr:
-        (batch, n) channel LLRs in codeword order.
+        (batch, n) channel LLRs in codeword order, without NaN.
     frozen_mask:
         (n,) True where the decoder-order position is frozen.
     frozen_values:
-        (n,) or (batch, n) pinned bits for frozen positions.
+        (n,) or (batch, n) pinned bits (0 or 1) for frozen positions.
     erasure_law:
         When True a zero LLR at an unfrozen decision marks the block ambiguous.
 
@@ -429,16 +348,17 @@ def sc_decode_batch(
     llr = np.asarray(llr, dtype=np.float64)
     if llr.ndim != 2:
         raise ValueError("llr must be (batch, n)")
+    if np.isnan(llr).any():
+        raise ValueError("llr must not contain NaN")
     batch, n = llr.shape
     _require_block_length(n)
     frozen_mask = np.asarray(frozen_mask, dtype=bool)
     if frozen_mask.shape != (n,):
         raise ValueError("frozen_mask must be (n,)")
-    frozen_values = np.asarray(frozen_values, dtype=np.uint8)
-    if frozen_values.ndim == 1:
-        frozen_values = np.broadcast_to(frozen_values, (batch, n))
-    if frozen_values.shape != (batch, n):
+    frozen_values = _as_bits(frozen_values, "frozen_values")
+    if frozen_values.shape not in ((n,), (batch, n)):
         raise ValueError("frozen_values must be (n,) or (batch, n)")
+    frozen_values = np.broadcast_to(frozen_values, (batch, n))
 
     decisions = np.empty((batch, n), dtype=np.uint8)
     ambiguous = np.zeros(batch, dtype=bool)
@@ -458,24 +378,3 @@ def sc_decode_batch(
     _successive_cancellation(llr, leaf)
     return decisions, ambiguous
 
-
-def sc_decode(obs: SoftObservation, spec: PolarCodeSpec, law: "ChannelLaw") -> np.ndarray:
-    """Decode one block under ``law`` with the given frozen structure.
-
-    Frozen positions are copied from the spec, unfrozen positions follow the
-    likelihood rule with ties deciding bit 1.  For erasure laws an unfrozen
-    decision at LLR exactly 0 raises :class:`DecodeFailure` (frame erasure).
-    """
-    if len(obs) != spec.n:
-        raise ValueError("observation length does not match code spec")
-    if obs.erased.any() and law.kind != "bec":
-        raise ValueError("erased symbols are only meaningful for erasure laws")
-    decisions, ambiguous = sc_decode_batch(
-        obs.llr[None, :],
-        spec.frozen_mask(),
-        spec.frozen_vector(),
-        erasure_law=(law.kind == "bec"),
-    )
-    if ambiguous[0]:
-        raise DecodeFailure("unfrozen decision hit an unresolved erasure")
-    return decisions[0]

@@ -60,7 +60,6 @@ from .polar import (
 from .rates import binary_entropy
 
 __all__ = [
-    "BitMatrix",
     "ConstructionInfeasibleError",
     "DecodeStatus",
     "HierarchicalCode",
@@ -205,10 +204,6 @@ class HierarchicalCode:
         return np.empty(0, dtype=np.int64)
 
 
-def _good_mask(z: np.ndarray, threshold: float) -> np.ndarray:
-    return z <= threshold
-
-
 def build_partition(
     params: WiretapParams,
     n: int,
@@ -252,7 +247,7 @@ def build_partition(
         prof = reliability_profile(
             law, n, method=construction, trials=construction_trials, rng=rng
         )
-        masks[name] = _good_mask(prof.z, t_block)
+        masks[name] = prof.z <= t_block
 
     strong = tag in _STRONG_LAYOUT
     # reliability chain, most exclusive first
@@ -466,19 +461,6 @@ def designed_rate(code: HierarchicalCode) -> float:
     return total_message_bits(code) / float(code.n * code.b)
 
 
-@dataclass(frozen=True)
-class BitMatrix:
-    """A frame of codewords, one block per row."""
-
-    bits: np.ndarray
-
-    def __post_init__(self) -> None:
-        bits = _as_bits(self.bits)
-        if bits.ndim != 2:
-            raise ValueError("BitMatrix holds (blocks, n)")
-        object.__setattr__(self, "bits", bits)
-
-
 def _check_shapes(actual: "_Bundle", expected: dict, what: str) -> None:
     for k, shp in expected.items():
         arr = getattr(actual, k)
@@ -501,9 +483,10 @@ def _row_codewords(rows: int, b: int, *parts: tuple[np.ndarray, np.ndarray]) -> 
     return polar_transform(fill) if fill.size else fill
 
 
-def encode(code: HierarchicalCode, msg: MessageBundle, rnd: RandomBundle) -> BitMatrix:
+def encode(code: HierarchicalCode, msg: MessageBundle, rnd: RandomBundle) -> np.ndarray:
     """Two-phase encoder: cross-block rows first, then each block's column
-    layout, then the per-block polar transform."""
+    layout, then the per-block polar transform.  Returns the (b, n) uint8
+    frame, one codeword per row."""
     msg_shapes, rnd_shapes = bundle_shapes(code)
     _check_shapes(msg, msg_shapes, "msg")
     _check_shapes(rnd, rnd_shapes, "rnd")
@@ -533,7 +516,7 @@ def encode(code: HierarchicalCode, msg: MessageBundle, rnd: RandomBundle) -> Bit
         (P.crossblock_message, message.T),
         (P.crossblock_random, random_rows.T),
     )
-    return BitMatrix(bits=polar_transform(pre))
+    return polar_transform(pre)
 
 
 @dataclass(frozen=True)
@@ -555,7 +538,7 @@ def _mask_of(n: int, *index_sets: np.ndarray) -> np.ndarray:
 
 def _three_phase(
     code: HierarchicalCode,
-    observations,
+    llr: np.ndarray,
     superior: np.ndarray,
     pinned: np.ndarray,
     sup_frozen: np.ndarray,
@@ -564,8 +547,9 @@ def _three_phase(
 ) -> tuple[np.ndarray, list[np.ndarray], DecodeStatus]:
     """The hierarchical decoder both receivers run, fed by a receiver's table.
 
-    ``superior`` is the receiver's (b,) state vector and ``pinned`` a (b, n)
-    array of the bits it knows before decoding, zero elsewhere.  Phase one
+    ``llr`` holds the receiver's (b, n) channel LLRs, one block per row,
+    ``superior`` its (b,) state vector and ``pinned`` a (b, n) array of the
+    bits it knows before decoding, zero elsewhere.  Phase one
     decodes the superior blocks with the ``sup_frozen`` positions pinned.
     Phase two decodes each ``(columns, info, fill)`` row group: the
     cross-block rows at per-block positions ``columns``, certain on superior
@@ -579,11 +563,9 @@ def _three_phase(
     """
     if superior.shape[0] != code.b:
         raise ValueError("trace length does not match frame")
-    if len(observations) != code.b:
-        raise ValueError(f"need {code.b} block observations, got {len(observations)}")
-    if any(len(obs) != code.n for obs in observations):
-        raise ValueError("observation length does not match block length")
-    llr = np.stack([obs.llr for obs in observations])
+    llr = np.asarray(llr, dtype=np.float64)
+    if llr.shape != (code.b, code.n):
+        raise ValueError(f"llr must have shape {(code.b, code.n)}, got {llr.shape}")
     deg = ~superior
     pre_hat = pinned
 
@@ -610,9 +592,10 @@ def _three_phase(
 
 
 def bob_decode(
-    code: HierarchicalCode, observations, trace: FadingTrace
+    code: HierarchicalCode, llr: np.ndarray, trace: FadingTrace
 ) -> tuple[MessageBundle, RandomBundle, DecodeStatus]:
-    """Intended-receiver decoder (knows the trace, not the sent bits).
+    """Intended-receiver decoder (knows the trace, not the sent bits) of the
+    (b, n) main-channel LLRs ``llr``.
 
     Runs the three phases with only the frozen class pinned on superior
     blocks and the cross-block message/random rows decoded in phase two.
@@ -627,7 +610,7 @@ def bob_decode(
     row_classes = np.concatenate([P.crossblock_message, P.crossblock_random])
     pre_hat, (dec_rows,), status = _three_phase(
         code,
-        observations,
+        llr,
         trace.main_superior,
         pinned=np.zeros((b, n), dtype=np.uint8),
         sup_frozen=_mask_of(n, P.frozen),
@@ -657,11 +640,12 @@ def bob_decode(
 
 
 def eve_genie_decode(
-    code: HierarchicalCode, observations, trace: FadingTrace, msg: MessageBundle
+    code: HierarchicalCode, llr: np.ndarray, trace: FadingTrace, msg: MessageBundle
 ) -> tuple[RandomBundle, DecodeStatus]:
-    """Genie-aided eavesdropper decoder: receives every message bit and must
-    recover all random fill.  Measures how completely the randomness
-    saturates the eavesdropper's observation (the leakage proxy).
+    """Genie-aided eavesdropper decoder of the (b, n) eavesdropper LLRs
+    ``llr``: receives every message bit and must recover all random fill.
+    Measures how completely the randomness saturates the eavesdropper's
+    observation (the leakage proxy).
 
     Mirrors the receiver's three phases with the eavesdropper's flip laws and
     its own state trace; message-bearing classes are pinned from the genie
@@ -687,7 +671,7 @@ def eve_genie_decode(
     )
     pre_hat, (dec_secret, dec_random), status = _three_phase(
         code,
-        observations,
+        llr,
         trace.eve_superior,
         pinned=pinned,
         sup_frozen=_mask_of(n, P.frozen, P.perblock_message, P.crossblock_message),

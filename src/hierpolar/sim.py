@@ -4,8 +4,9 @@ Trial streams are reproducible: trial ``t`` under master seed ``s`` uses a
 generator seeded by the first 8 bytes of ``sha256(f"{s}:{t}")``, so runs can
 be chunked or parallelised without changing results.  Within a trial the
 draw order is fixed: fading trace, then message bundle, then random bundle,
-then main-channel noise block by block, then eavesdropper noise block by
-block.
+then the main-channel noise of the whole (b, n) frame, then the
+eavesdropper's.  Each frame's noise is one ``rng.random((b, n))`` draw, row
+by row, so block ``i`` sees the values a per-block draw in block order would.
 """
 
 from __future__ import annotations
@@ -184,21 +185,14 @@ def _run_trial(code: HierarchicalCode, trial: int, master_seed: int) -> TrialRec
     msg = MessageBundle.random(code, rng)
     rnd = RandomBundle.random(code, rng)
     frame = encode(code, msg, rnd)
+    main_llr = transmit(frame, trace.main_superior, (bsc(params.p1), bsc(params.p2)), rng)
+    eve_llr = transmit(frame, trace.eve_superior, (bsc(params.p1s), bsc(params.p2s)), rng)
 
-    main_obs = []
-    for i in range(code.b):
-        law = bsc(params.p1 if trace.main_superior[i] else params.p2)
-        main_obs.append(transmit(frame.bits[i], law, rng))
-    eve_obs = []
-    for i in range(code.b):
-        law = bsc(params.p1s if trace.eve_superior[i] else params.p2s)
-        eve_obs.append(transmit(frame.bits[i], law, rng))
-
-    msg_hat, _, bob_status = bob_decode(code, main_obs, trace)
+    msg_hat, _, bob_status = bob_decode(code, main_llr, trace)
     bob_bit_errors = msg.bit_errors(msg_hat)
     bob_ok = bob_status.ok and bob_bit_errors == 0
 
-    rnd_hat, eve_status = eve_genie_decode(code, eve_obs, trace, msg)
+    rnd_hat, eve_status = eve_genie_decode(code, eve_llr, trace, msg)
     eve_ok = eve_status.ok and rnd.same_bits(rnd_hat)
 
     return TrialRecord(
@@ -412,7 +406,7 @@ def exact_leakage_toy(code: HierarchicalCode) -> float:
         for r_idx in range(1 << k_r):
             r_bits = np.array([(r_idx >> (k_r - 1 - i)) & 1 for i in range(k_r)], dtype=np.uint8)
             rnd = RandomBundle.from_flat(code, r_bits)
-            x = _pack_rows(encode(code, msg, rnd).bits)
+            x = _pack_rows(encode(code, msg, rnd))
             shifted = noise_dists[:, xor_index ^ x]
             joint_given_m[m_idx] += p_r * shifted * state_probs[:, None]
 

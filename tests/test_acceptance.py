@@ -18,7 +18,6 @@ from mpmath import mp, mpf
 
 from hierpolar import (
     SimConfig,
-    SoftObservation,
     WiretapParams,
     MessageBundle,
     RandomBundle,
@@ -219,7 +218,7 @@ def test_criterion_05_noiseless_roundtrips():
             msg = MessageBundle.random(code, rng)
             rnd = RandomBundle.random(code, rng)
             frame = encode(code, msg, rnd)
-            obs = [SoftObservation.certain(row) for row in frame.bits]
+            obs = np.where(frame, -np.inf, np.inf)
             trace = sample_fading(params, 32, rng)
             msg_hat, rnd_hat, status = bob_decode(code, obs, trace)
             assert status.ok

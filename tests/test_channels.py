@@ -148,42 +148,65 @@ def test_degenerate_state_probabilities():
 
 def test_transmit_noiseless_flip_law_is_certain():
     rng = np.random.default_rng(109)
-    x = rng.integers(0, 2, size=64, dtype=np.uint8)
-    obs = transmit(x, bsc(0.0), rng)
-    assert np.array_equal(np.signbit(obs.llr), x.astype(bool))
-    assert np.isinf(obs.llr).all()
-    assert not obs.erased.any()
+    x = rng.integers(0, 2, size=(4, 64), dtype=np.uint8)
+    llr = transmit(x, np.array([True, False, True, False]), (bsc(0.0), bsc(0.0)), rng)
+    assert llr.shape == (4, 64) and llr.dtype == np.float64
+    assert np.array_equal(np.signbit(llr), x.astype(bool))
+    assert np.isinf(llr).all()
 
 
 def test_transmit_flip_law_magnitude_and_rate():
     rng = np.random.default_rng(113)
-    p = 0.2
-    x = np.zeros(1 << 16, dtype=np.uint8)
-    obs = transmit(x, bsc(p), rng)
-    mag = np.log((1 - p) / p)
-    assert np.allclose(np.abs(obs.llr), mag)
-    flipped = (obs.llr < 0).mean()
-    assert flipped == pytest.approx(p, abs=0.01)
+    superior = np.array([True, False, True, False])
+    x = np.zeros((4, 1 << 15), dtype=np.uint8)
+    llr = transmit(x, superior, (bsc(0.2), bsc(0.1)), rng)
+    for rows, p in ((superior, 0.2), (~superior, 0.1)):
+        assert np.allclose(np.abs(llr[rows]), np.log((1 - p) / p))
+        assert (llr[rows] < 0).mean() == pytest.approx(p, abs=0.01)
 
 
 def test_transmit_symmetric_flip_law_gives_zero_llr():
     rng = np.random.default_rng(127)
-    obs = transmit(np.ones(16, dtype=np.uint8), bsc(0.5), rng)
-    assert not obs.llr.any()
+    llr = transmit(np.ones((2, 16), dtype=np.uint8), np.array([True, False]), (bsc(0.5), bsc(0.5)), rng)
+    assert not llr.any()
 
 
 def test_transmit_erasure_law():
     rng = np.random.default_rng(131)
     q = 0.3
-    x = rng.integers(0, 2, size=1 << 16, dtype=np.uint8)
-    obs = transmit(x, bec(q), rng)
-    assert obs.erased.mean() == pytest.approx(q, abs=0.01)
-    kept = ~obs.erased
-    assert np.array_equal(np.signbit(obs.llr[kept]), x[kept].astype(bool))
-    assert not obs.llr[obs.erased].any()
+    x = rng.integers(0, 2, size=(2, 1 << 15), dtype=np.uint8)
+    llr = transmit(x, np.array([True, False]), (bec(q), bec(q)), rng)
+    erased = llr == 0.0
+    assert erased.mean() == pytest.approx(q, abs=0.01)
+    assert np.array_equal(np.signbit(llr[~erased]), x[~erased].astype(bool))
+    assert np.isinf(llr[~erased]).all()
 
 
-def test_transmit_rejects_batches():
+def test_transmit_frame_equals_per_row_draws():
+    # one frame draw gives each row the noise of successive rng.random(n)
+    # draws, under that row's law
+    superior = np.array([True, False, False, True, False])
+    for laws in ((bsc(0.1), bsc(0.3)), (bec(0.2), bsc(0.05))):
+        x = np.random.default_rng(137).integers(0, 2, size=(5, 32), dtype=np.uint8)
+        llr = transmit(x, superior, laws, np.random.default_rng(139))
+        rng = np.random.default_rng(139)
+        for row, sup in zip(range(5), superior):
+            law = laws[0] if sup else laws[1]
+            hit = rng.random(32) < law.param
+            if law.is_erasure:
+                want = np.where(hit, 0.0, np.where(x[row] == 1, -np.inf, np.inf))
+            else:
+                mag = np.log((1.0 - law.param) / law.param)
+                want = np.where(x[row] ^ hit, -mag, mag)
+            assert np.array_equal(llr[row], want)
+
+
+def test_transmit_rejects_bad_frame_shapes():
     rng = np.random.default_rng(137)
-    with pytest.raises(ValueError):
-        transmit(np.zeros((2, 4), dtype=np.uint8), bsc(0.1), rng)
+    laws = (bsc(0.1), bsc(0.2))
+    with pytest.raises(ValueError, match="x must"):
+        transmit(np.zeros(4, dtype=np.uint8), np.ones(1, dtype=bool), laws, rng)
+    with pytest.raises(ValueError, match="x must"):
+        transmit(np.zeros((2, 2, 4), dtype=np.uint8), np.ones(2, dtype=bool), laws, rng)
+    with pytest.raises(ValueError, match="superior"):
+        transmit(np.zeros((2, 4), dtype=np.uint8), np.ones(3, dtype=bool), laws, rng)

@@ -9,21 +9,18 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from hierpolar import (
-    DecodeFailure,
-    PolarCodeSpec,
     ReliabilityProfile,
-    SoftObservation,
     bec,
     bit_reversal_permutation,
     bsc,
     polar_transform,
     polar_transform_inverse,
     reliability_profile,
-    sc_decode,
     sc_decode_batch,
     select_good_set,
+    transmit,
 )
-from hierpolar.polar import _channel_llrs, _f_combine, _g_combine
+from hierpolar.polar import _f_combine, _g_combine
 
 
 def dense_generator(n: int) -> np.ndarray:
@@ -208,16 +205,30 @@ def test_genie_profile_rejects_bad_trials():
         reliability_profile(bsc(0.1), 8, "genie-mc", trials=0)
 
 
+def certain_llr(bits) -> np.ndarray:
+    # LLRs of perfectly known bits: +inf for 0, -inf for 1
+    return np.where(np.asarray(bits, dtype=bool), -np.inf, np.inf)
+
+
+def sc_decode_one(llr, frozen_mask, frozen_values, erasure_law=False):
+    """Decode one block through the batch decoder: (decisions, ambiguous)."""
+    decisions, ambiguous = sc_decode_batch(
+        np.asarray(llr, dtype=np.float64)[None, :], frozen_mask, frozen_values, erasure_law
+    )
+    return decisions[0], bool(ambiguous[0])
+
+
 def noiseless_roundtrip(n: int, rng: np.random.Generator) -> None:
     k = int(rng.integers(0, n + 1))
     unfrozen = np.sort(rng.choice(n, size=k, replace=False))
-    frozen = sorted(set(range(n)) - set(unfrozen.tolist()))
-    frozen_values = {int(i): int(rng.integers(0, 2)) for i in frozen}
-    spec = PolarCodeSpec(n=n, unfrozen=unfrozen, frozen_values=frozen_values)
-    u = spec.frozen_vector()
+    frozen_mask = np.ones(n, dtype=bool)
+    frozen_mask[unfrozen] = False
+    frozen_values = np.where(frozen_mask, rng.integers(0, 2, size=n), 0).astype(np.uint8)
+    u = frozen_values.copy()
     u[unfrozen] = rng.integers(0, 2, size=k, dtype=np.uint8)
-    obs = SoftObservation.certain(polar_transform(u))
-    assert np.array_equal(sc_decode(obs, spec, bsc(0.0)), u)
+    hat, ambiguous = sc_decode_one(certain_llr(polar_transform(u)), frozen_mask, frozen_values)
+    assert np.array_equal(hat, u)
+    assert not ambiguous
 
 
 def test_sc_noiseless_roundtrip_many_specs():
@@ -231,60 +242,67 @@ def test_sc_all_frozen_returns_frozen_values():
     rng = np.random.default_rng(43)
     n = 16
     llr = rng.normal(size=n)
-    spec = PolarCodeSpec(n=n, unfrozen=np.array([], dtype=np.int64))
-    out = sc_decode(SoftObservation(llr=llr), spec, bsc(0.2))
+    all_frozen = np.ones(n, dtype=bool)
+    out, _ = sc_decode_one(llr, all_frozen, np.zeros(n, dtype=np.uint8))
     assert not out.any()
-    vals = {i: int(rng.integers(0, 2)) for i in range(n)}
-    spec2 = PolarCodeSpec(n=n, unfrozen=np.array([], dtype=np.int64), frozen_values=vals)
-    out2 = sc_decode(SoftObservation(llr=llr), spec2, bsc(0.2))
-    assert out2.tolist() == [vals[i] for i in range(n)]
+    vals = rng.integers(0, 2, size=n, dtype=np.uint8)
+    out2, _ = sc_decode_one(llr, all_frozen, vals)
+    assert out2.tolist() == vals.tolist()
 
 
 def test_sc_tie_decodes_to_one_under_flip_law():
-    spec = PolarCodeSpec(n=2, unfrozen=np.array([0, 1]))
-    out = sc_decode(SoftObservation(llr=np.zeros(2)), spec, bsc(0.5))
+    out, ambiguous = sc_decode_one(np.zeros(2), np.zeros(2, dtype=bool), np.zeros(2, dtype=np.uint8))
     assert out.tolist() == [1, 1]
+    assert not ambiguous
 
 
-def test_sc_erasure_ambiguity_raises():
-    spec = PolarCodeSpec(n=4, unfrozen=np.array([2, 3]))
-    obs = SoftObservation.with_erasures([0, 0, 0, 0], [True, True, True, True])
-    with pytest.raises(DecodeFailure):
-        sc_decode(obs, spec, bec(0.5))
+def test_sc_erasure_ambiguity_is_flagged():
+    frozen_mask = np.array([True, True, False, False])
+    _, ambiguous = sc_decode_one(np.zeros(4), frozen_mask, np.zeros(4, dtype=np.uint8), True)
+    assert ambiguous
 
 
 def test_sc_single_info_bit_bec_with_three_erasures():
     # one unfrozen position; the only surviving observation pins it
     rng = np.random.default_rng(47)
-    spec = PolarCodeSpec(n=4, unfrozen=np.array([3]))
+    frozen_mask = np.array([True, True, True, False])
     erased = np.array([True, True, True, False])
     for _ in range(100):
         u = np.zeros(4, dtype=np.uint8)
         u[3] = rng.integers(0, 2)
         x = polar_transform(u)
-        hat = sc_decode(SoftObservation.with_erasures(x, erased), spec, bec(0.75))
+        llr = np.where(erased, 0.0, certain_llr(x))
+        hat, ambiguous = sc_decode_one(llr, frozen_mask, np.zeros(4, dtype=np.uint8), True)
+        assert not ambiguous
         assert np.array_equal(hat, u)
         assert polar_transform(hat)[3] == x[3]
 
 
 def test_sc_length_mismatch_rejected():
-    spec = PolarCodeSpec(n=4, unfrozen=np.array([3]))
-    with pytest.raises(ValueError):
-        sc_decode(SoftObservation(llr=np.zeros(8)), spec, bsc(0.1))
+    frozen_mask = np.array([True, True, True, False])
+    zeros = np.zeros(4, dtype=np.uint8)
+    bad_inputs = [
+        ("frozen_mask", np.zeros((1, 8)), frozen_mask, zeros),  # length mismatch
+        ("frozen_values", np.zeros((1, 4)), frozen_mask, np.zeros(8, dtype=np.uint8)),
+        ("frozen_values", np.ones((1, 4)), np.ones(4, dtype=bool), np.array([2, 0, 0, 0])),
+        ("llr", np.full((1, 4), np.nan), frozen_mask, zeros),
+    ]
+    for name, llr, mask, values in bad_inputs:
+        with pytest.raises(ValueError, match=name):
+            sc_decode_batch(llr, mask, values, False)
 
 
 def test_sc_batch_agrees_with_single_block():
     rng = np.random.default_rng(53)
     n = 32
-    unfrozen = np.sort(rng.choice(n, size=12, replace=False))
-    frozen = sorted(set(range(n)) - set(unfrozen.tolist()))
-    frozen_values = {int(i): int(rng.integers(0, 2)) for i in frozen}
-    spec = PolarCodeSpec(n=n, unfrozen=unfrozen, frozen_values=frozen_values)
+    frozen_mask = np.ones(n, dtype=bool)
+    frozen_mask[rng.choice(n, size=12, replace=False)] = False
+    frozen_values = np.where(frozen_mask, rng.integers(0, 2, size=n), 0).astype(np.uint8)
     llr = rng.normal(scale=3.0, size=(25, n))
-    got, ambiguous = sc_decode_batch(llr, spec.frozen_mask(), spec.frozen_vector(), False)
+    got, ambiguous = sc_decode_batch(llr, frozen_mask, frozen_values, False)
     assert not ambiguous.any()
     for row in range(25):
-        single = sc_decode(SoftObservation(llr=llr[row]), spec, bsc(0.2))
+        single, _ = sc_decode_one(llr[row], frozen_mask, frozen_values)
         assert np.array_equal(got[row], single)
 
 
@@ -300,38 +318,12 @@ def test_sc_batch_per_row_frozen_values():
 
 def test_sc_batch_flags_only_ambiguous_rows():
     # row 0 fully known, row 1 fully erased; only row 1 is ambiguous
-    spec = PolarCodeSpec(n=4, unfrozen=np.array([3]))
+    frozen_mask = np.array([True, True, True, False])
     u = np.array([0, 0, 0, 1], dtype=np.uint8)
-    x = polar_transform(u)
-    llr = np.stack([(1.0 - 2.0 * x) * np.inf, np.zeros(4)])
-    out, ambiguous = sc_decode_batch(llr, spec.frozen_mask(), spec.frozen_vector(), True)
+    llr = np.stack([certain_llr(polar_transform(u)), np.zeros(4)])
+    out, ambiguous = sc_decode_batch(llr, frozen_mask, np.zeros(4, dtype=np.uint8), True)
     assert ambiguous.tolist() == [False, True]
     assert np.array_equal(out[0], u)
-
-
-def test_soft_observation_constructors():
-    obs = SoftObservation.certain([0, 1, 1, 0])
-    assert obs.llr.tolist() == [np.inf, -np.inf, -np.inf, np.inf]
-    assert not obs.erased.any()
-    obs2 = SoftObservation.with_erasures([0, 1, 1, 0], [False, True, False, True])
-    assert obs2.llr.tolist() == [np.inf, 0.0, -np.inf, 0.0]
-    assert obs2.erased.tolist() == [False, True, False, True]
-    with pytest.raises(ValueError):
-        SoftObservation(llr=np.ones(4), erased=np.array([True, False, False, False]))
-    with pytest.raises(ValueError, match="single block"):
-        SoftObservation(np.float64(1.0))
-
-
-def test_code_spec_validation():
-    with pytest.raises(ValueError):
-        PolarCodeSpec(n=4, unfrozen=np.array([4]))
-    with pytest.raises(ValueError):
-        PolarCodeSpec(n=4, unfrozen=np.array([0]), frozen_values={1: 0, 2: 1})
-    with pytest.raises(ValueError):
-        PolarCodeSpec(n=4, unfrozen=np.array([0]), frozen_values={1: 0, 2: 1, 3: 2})
-    spec = PolarCodeSpec(n=4, unfrozen=np.array([3, 1]))
-    assert spec.unfrozen.tolist() == [1, 3]
-    assert spec.frozen_mask().tolist() == [True, False, True, False]
 
 
 def reference_sc(llr, frozen_mask, frozen_values, erasure_law):
@@ -406,7 +398,7 @@ def test_genie_profile_matches_reference_genie_counts(law, n, trials, seed):
     # the profile's draws: the bits of every trial, then the channel
     rng = np.random.default_rng(seed)
     u = rng.integers(0, 2, size=(trials, n), dtype=np.uint8)
-    llr = _channel_llrs(polar_transform(u), law, rng)
+    llr = transmit(polar_transform(u), np.ones(trials, dtype=bool), (law, law), rng)
     bad = np.zeros(n)
     for row in range(trials):
         _, _, leaves = reference_sc(llr[row], np.ones(n, dtype=bool), u[row], law.is_erasure)
