@@ -262,32 +262,76 @@ def select_good_set(profile: ReliabilityProfile, threshold: float) -> np.ndarray
     return np.nonzero(profile.z <= threshold)[0].astype(np.int64)
 
 
-def _f_combine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _f_combine(
+    a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> np.ndarray:
     # exact check-node update, 2 atanh(tanh(a/2) tanh(b/2)), with the
-    # certainty algebra restored for genuinely infinite inputs
-    m = np.tanh(a * 0.5) * np.tanh(b * 0.5)
-    out = 2.0 * np.arctanh(np.clip(m, -_ATANH_LIMIT, _ATANH_LIMIT))
+    # certainty algebra restored for genuinely infinite inputs; out and
+    # scratch, when given, are arrays of the inputs' shape
+    out = np.multiply(a, 0.5, out=out)
+    np.tanh(out, out=out)
+    tb = np.multiply(b, 0.5, out=scratch)
+    out *= np.tanh(tb, out=tb)
+    np.clip(out, -_ATANH_LIMIT, _ATANH_LIMIT, out=out)
+    np.arctanh(out, out=out)
+    out *= 2.0
     inf_a = np.isinf(a)
     inf_b = np.isinf(b)
     if inf_a.any() or inf_b.any():
         sa = np.sign(a)
         sb = np.sign(b)
-        # the unselected branch may evaluate 0 * inf; the where masks it out
+        # the unselected entries may evaluate 0 * inf; the mask leaves them out
         with np.errstate(invalid="ignore"):
-            out = np.where(inf_a & inf_b, sa * sb * np.inf, out)
-            out = np.where(inf_a & ~inf_b, sa * b, out)
-            out = np.where(~inf_a & inf_b, sb * a, out)
+            np.copyto(out, sa * sb * np.inf, where=inf_a & inf_b)
+            np.copyto(out, sa * b, where=inf_a & ~inf_b)
+            np.copyto(out, sb * a, where=~inf_a & inf_b)
     return out
 
 
-def _g_combine(a: np.ndarray, b: np.ndarray, u_left: np.ndarray) -> np.ndarray:
-    # exact variable-node update; conflicting certainties (inf - inf) carry
-    # no information and collapse to an erasure
+def _g_combine(
+    a: np.ndarray, b: np.ndarray, u_left: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    # exact variable-node update, b + (1 - 2 u_left) a; conflicting
+    # certainties (inf - inf) carry no information and collapse to an erasure
+    out = np.multiply(u_left, -2.0, out=out, dtype=np.float64)
+    out += 1.0
     with np.errstate(invalid="ignore"):
-        out = b + (1.0 - 2.0 * u_left.astype(np.float64)) * a
+        out *= a
+        out += b
     bad = np.isnan(out)
     if bad.any():
-        out = np.where(bad, 0.0, out)
+        out[bad] = 0.0
+    return out
+
+
+def _sc_descend(
+    seg: np.ndarray,
+    lo: int,
+    level: int,
+    llrs: list[np.ndarray],
+    sums: list[np.ndarray],
+    scratch: list[np.ndarray],
+    leaf: Callable[[np.ndarray, int], np.ndarray],
+) -> np.ndarray:
+    # one node of the SC tree: seg holds its (batch, width) LLRs in codeword
+    # order, lo its first decoder-order position.  Its children see the
+    # even/odd pairs of seg through f and g, written into llrs[level]; its
+    # partial sums go to sums[level], left ones first so that g can read them
+    if seg.shape[1] == 1:
+        return leaf(seg[:, 0], lo)[:, None]
+    child, out = llrs[level], sums[level]
+    half = child.shape[1]
+    a = seg[:, 0::2]
+    b = seg[:, 1::2]
+    left = out[:, 0::2]
+    left[...] = _sc_descend(
+        _f_combine(a, b, child, scratch[level]), lo, level + 1, llrs, sums, scratch, leaf
+    )
+    x_right = _sc_descend(
+        _g_combine(a, b, left, child), lo + half, level + 1, llrs, sums, scratch, leaf
+    )
+    left ^= x_right
+    out[:, 1::2] = x_right
     return out
 
 
@@ -299,25 +343,26 @@ def _successive_cancellation(
     At decoder-order position ``i`` it calls ``leaf(col, i)`` with the
     (batch,) decision LLRs and feeds the (batch,) uint8 bits it returns
     into the partial sums; the leaf rule alone decides what a bit is.
+    ``llr`` is read, never written.  A node splits its LLRs into even and
+    odd positions, so the tree runs in codeword order without a bit-reversed
+    copy.  Each level keeps one LLR buffer, which its f and then its g
+    values share (the f values are dead once the left subtree returns), and
+    one uint8 partial-sum buffer: batch x n floats and batch x 2n bytes in
+    all, allocated once per call.
     """
     batch, n = llr.shape
-    work = np.ascontiguousarray(llr[:, bit_reversal_permutation(n)])
-
-    def descend(seg: np.ndarray, lo: int) -> np.ndarray:
-        width = seg.shape[1]
-        if width == 1:
-            return leaf(seg[:, 0], lo)[:, None]
-        half = width // 2
-        a = seg[:, :half]
-        b = seg[:, half:]
-        x_left = descend(_f_combine(a, b), lo)
-        x_right = descend(_g_combine(a, b, x_left), lo + half)
-        out = np.empty((batch, width), dtype=np.uint8)
-        out[:, :half] = x_left ^ x_right
-        out[:, half:] = x_right
-        return out
-
-    descend(work, 0)
+    flat = np.empty(batch * n, dtype=np.float64)
+    bits = np.empty(2 * batch * n, dtype=np.uint8)
+    llrs, sums, scratch = [], [], []
+    pos = 0
+    for w in (n >> k for k in range(1, n.bit_length())):  # child widths n/2, .., 1
+        llrs.append(flat[pos * batch : (pos + w) * batch].reshape(batch, w))
+        sums.append(bits[2 * pos * batch : 2 * (pos + w) * batch].reshape(batch, 2 * w))
+        # f's half-width scratch: the buffers of the levels below plus the
+        # one spare slot, all dead while this level computes f
+        scratch.append(flat[(n - w) * batch :].reshape(batch, w))
+        pos += w
+    _sc_descend(llr, 0, 0, llrs, sums, scratch, leaf)
 
 
 def sc_decode_batch(

@@ -34,6 +34,7 @@ code information sets ``bec_info_main`` / ``bec_info_eve``).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -468,18 +469,19 @@ def _check_shapes(actual: "_Bundle", expected: dict, what: str) -> None:
             raise ValueError(f"{what}.{k} must have shape {tuple(shp)}, got {tuple(arr.shape)}")
 
 
-def _placed(shape: tuple[int, int], *parts: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+def _placed(shape: tuple[int, ...], *parts: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """A uint8 array of ``shape``, zero except that each ``(columns, bits)``
-    of ``parts`` fills those columns."""
+    of ``parts`` fills those columns of the last axis."""
     out = np.zeros(shape, dtype=np.uint8)
     for columns, bits in parts:
-        out[:, columns] = bits
+        out[..., columns] = bits
     return out
 
 
-def _row_codewords(rows: int, b: int, *parts: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Cross-block row codewords: the transform of ``_placed((rows, b), *parts)``."""
-    fill = _placed((rows, b), *parts)
+def _row_codewords(shape: tuple[int, ...], *parts: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Cross-block row codewords, length-b rows on the last axis of
+    ``shape``: the transform of ``_placed(shape, *parts)``."""
+    fill = _placed(shape, *parts)
     return polar_transform(fill) if fill.size else fill
 
 
@@ -493,17 +495,15 @@ def encode(code: HierarchicalCode, msg: MessageBundle, rnd: RandomBundle) -> np.
     P = code.partition
     b = code.b
     secret = _row_codewords(
-        P.crossblock_secret.size,
-        b,
+        (P.crossblock_secret.size, b),
         (code.secret_info, rnd.crossblock_secret),
         (code.secret_msg_positions, msg.crossblock_secret),
     )
     message = _row_codewords(
-        P.crossblock_message.size, b, (P.bec_info_main, msg.crossblock_message)
+        (P.crossblock_message.size, b), (P.bec_info_main, msg.crossblock_message)
     )
     random_rows = _row_codewords(
-        P.crossblock_random.size,
-        b,
+        (P.crossblock_random.size, b),
         (code.random_info, rnd.crossblock_random),
         (code.weak_extra_positions, msg.crossblock_random_extra),
     )
@@ -536,6 +536,42 @@ def _mask_of(n: int, *index_sets: np.ndarray) -> np.ndarray:
     return mask
 
 
+def _frames(
+    code: HierarchicalCode, llr: np.ndarray, *per_frame
+) -> tuple[np.ndarray, list[list], bool]:
+    """A decoder's input as a stack: the (T, b, n) LLRs, each per-frame
+    argument as a list of T, and whether the input was a single frame."""
+    llr = np.asarray(llr, dtype=np.float64)
+    single = llr.ndim == 2
+    if single:
+        llr = llr[None]
+        per_frame = tuple([arg] for arg in per_frame)
+    b, n = code.b, code.n
+    if llr.ndim != 3 or llr.shape[1:] != (b, n):
+        shape = llr.shape[1:] if single else llr.shape
+        raise ValueError(f"llr must have shape {(b, n)} or (T, {b}, {n}), got {shape}")
+    lists = [list(arg) for arg in per_frame]
+    for arg in lists:
+        if len(arg) != llr.shape[0]:
+            raise ValueError(
+                f"{llr.shape[0]} stacked frames need as many traces and bundles, got {len(arg)}"
+            )
+    return llr, lists, single
+
+
+def _superior(code: HierarchicalCode, traces: list[FadingTrace], field: str) -> np.ndarray:
+    """The (T, b) state vectors ``field`` of the traces."""
+    if any(trace.blocks != code.b for trace in traces):
+        raise ValueError("trace length does not match frame")
+    return np.stack([getattr(trace, field) for trace in traces])
+
+
+def _per_frame(cls: type, **stacked: np.ndarray) -> list:
+    """One ``cls`` bundle per frame from fields stacked on a leading frame axis."""
+    frames = len(next(iter(stacked.values())))
+    return [cls(**{k: v[t] for k, v in stacked.items()}) for t in range(frames)]
+
+
 def _three_phase(
     code: HierarchicalCode,
     llr: np.ndarray,
@@ -544,58 +580,68 @@ def _three_phase(
     sup_frozen: np.ndarray,
     row_groups: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
     deg_frozen: np.ndarray,
-) -> tuple[np.ndarray, list[np.ndarray], DecodeStatus]:
-    """The hierarchical decoder both receivers run, fed by a receiver's table.
+) -> tuple[np.ndarray, list[np.ndarray], list[DecodeStatus]]:
+    """The hierarchical decoder both receivers run, fed by a receiver's table,
+    over a stack of T frames.
 
-    ``llr`` holds the receiver's (b, n) channel LLRs, one block per row,
-    ``superior`` its (b,) state vector and ``pinned`` a (b, n) array of the
-    bits it knows before decoding, zero elsewhere.  Phase one
-    decodes the superior blocks with the ``sup_frozen`` positions pinned.
-    Phase two decodes each ``(columns, info, fill)`` row group: the
-    cross-block rows at per-block positions ``columns``, certain on superior
-    blocks and erased on degraded ones, as a length-b erasure code with
-    information set ``info`` and frozen bits ``fill``.  Phase three decodes
-    the degraded blocks with the ``deg_frozen`` positions pinned, the
-    phase-two rows among them.
+    ``llr`` holds the receiver's (T, b, n) channel LLRs, one block per row,
+    ``superior`` its (T, b) state vectors and ``pinned`` a (T, b, n) array of
+    the bits it knows before decoding, zero elsewhere.  Phase one decodes the
+    superior blocks of all frames in one call, with the ``sup_frozen``
+    positions pinned.  Phase two decodes each ``(columns, info, fill)`` row
+    group: the cross-block rows at per-block positions ``columns``, certain
+    on superior blocks and erased on degraded ones, as a length-b erasure
+    code with information set ``info`` and frozen bits ``fill``, (b,) for
+    every row or (T * columns.size, b), frame by frame.  The rows of all
+    frames go in one call.  Phase three decodes the degraded blocks of all
+    frames with the ``deg_frozen`` positions pinned, the phase-two rows among
+    them.  Rows never mix: each frame's result is the result of decoding it
+    alone.
 
-    Returns the (b, n) pre-transform decisions (``pinned``, filled in), each
-    group's decoder-order row decisions and the frame's status.
+    Returns the (T, b, n) pre-transform decisions, each group's (T, rows, b)
+    decoder-order row decisions and each frame's status.
     """
-    if superior.shape[0] != code.b:
-        raise ValueError("trace length does not match frame")
-    llr = np.asarray(llr, dtype=np.float64)
-    if llr.shape != (code.b, code.n):
-        raise ValueError(f"llr must have shape {(code.b, code.n)}, got {llr.shape}")
-    deg = ~superior
-    pre_hat = pinned
+    frames, b, n = llr.shape
+    pre_hat = np.ascontiguousarray(pinned)
+    flat = pre_hat.reshape(frames * b, n)
+    sup = superior.reshape(-1)
+    deg = ~sup
 
-    dec_sup, _ = sc_decode_batch(llr[superior], sup_frozen, pre_hat[superior], erasure_law=False)
-    pre_hat[superior] = dec_sup
+    block_llr = llr.reshape(frames * b, n)
+    dec_sup, _ = sc_decode_batch(block_llr[sup], sup_frozen, flat[sup], erasure_law=False)
+    flat[sup] = dec_sup
 
     rows = []
-    ambiguous = False
+    ambiguous = np.zeros(frames, dtype=bool)
     for columns, info, fill in row_groups:
-        dec_rows = np.zeros((columns.size, code.b), dtype=np.uint8)
+        dec_rows = np.zeros((frames, columns.size, b), dtype=np.uint8)
         if columns.size:
-            row_llr = (1.0 - 2.0 * pre_hat[:, columns].T) * np.inf
-            row_llr[:, deg] = 0.0
-            frozen = ~_mask_of(code.b, info)
-            dec_rows, amb = sc_decode_batch(row_llr, frozen, fill, erasure_law=True)
-            pre_hat[:, columns] = polar_transform(dec_rows).T
-            ambiguous = ambiguous or bool(amb.any())
+            bits = pre_hat[:, :, columns].transpose(0, 2, 1)
+            row_llr = np.where(superior[:, None, :], (1.0 - 2.0 * bits) * np.inf, 0.0)
+            frozen = ~_mask_of(b, info)
+            dec, amb = sc_decode_batch(row_llr.reshape(-1, b), frozen, fill, erasure_law=True)
+            del row_llr  # not held through phase three, where memory peaks
+            dec_rows = dec.reshape(dec_rows.shape)
+            pre_hat[:, :, columns] = polar_transform(dec_rows).transpose(0, 2, 1)
+            ambiguous |= amb.reshape(frames, columns.size).any(axis=1)
         rows.append(dec_rows)
 
-    dec_deg, _ = sc_decode_batch(llr[deg], deg_frozen, pre_hat[deg], erasure_law=False)
-    pre_hat[deg] = dec_deg
-    status = DecodeStatus(ok=not ambiguous, failed_phase="phase2" if ambiguous else None)
-    return pre_hat, rows, status
+    dec_deg, _ = sc_decode_batch(block_llr[deg], deg_frozen, flat[deg], erasure_law=False)
+    flat[deg] = dec_deg
+    statuses = [DecodeStatus(ok=not a, failed_phase="phase2" if a else None) for a in ambiguous]
+    return pre_hat, rows, statuses
 
 
 def bob_decode(
-    code: HierarchicalCode, llr: np.ndarray, trace: FadingTrace
-) -> tuple[MessageBundle, RandomBundle, DecodeStatus]:
+    code: HierarchicalCode, llr: np.ndarray, trace: FadingTrace | Sequence[FadingTrace]
+):
     """Intended-receiver decoder (knows the trace, not the sent bits) of the
-    (b, n) main-channel LLRs ``llr``.
+    main-channel LLRs ``llr``.
+
+    Given one (b, n) frame and its ``FadingTrace``, returns
+    ``(msg_hat, rnd_hat, status)``.  Given a (T, b, n) stack and a sequence
+    of T traces, returns the list of the T results, each what that frame
+    alone would give; the stack is decoded in one pass of the engine.
 
     Runs the three phases with only the frozen class pinned on superior
     blocks and the cross-block message/random rows decoded in phase two.
@@ -603,49 +649,61 @@ def bob_decode(
     message from randomness.
     """
     P = code.partition
-    b, n = code.b, code.n
+    llr, (traces,), single = _frames(code, llr, trace)
+    frames, b, n = llr.shape
     # both row kinds carry bits only on the main information set: random
     # rows hold their fill on random_info and the weak-extra message slice
     # on the rest of it
     row_classes = np.concatenate([P.crossblock_message, P.crossblock_random])
-    pre_hat, (dec_rows,), status = _three_phase(
+    pre_hat, (dec_rows,), statuses = _three_phase(
         code,
         llr,
-        trace.main_superior,
-        pinned=np.zeros((b, n), dtype=np.uint8),
+        _superior(code, traces, "main_superior"),
+        pinned=np.zeros((frames, b, n), dtype=np.uint8),
         sup_frozen=_mask_of(n, P.frozen),
         row_groups=[(row_classes, P.bec_info_main, np.zeros(b, dtype=np.uint8))],
         deg_frozen=_mask_of(n, P.frozen, P.crossblock_message, P.crossblock_random),
     )
 
     n_msg = P.crossblock_message.size
-    msg_rows = dec_rows[:n_msg]
-    rnd_rows = dec_rows[n_msg:]
+    msg_rows = dec_rows[:, :n_msg]
+    rnd_rows = dec_rows[:, n_msg:]
 
-    secret_vals = pre_hat[:, P.crossblock_secret].T
+    secret_vals = pre_hat[:, :, P.crossblock_secret].transpose(0, 2, 1)
     secret_pre = polar_transform_inverse(secret_vals) if secret_vals.size else secret_vals
 
-    msg_hat = MessageBundle(
-        crossblock_secret=secret_pre[:, code.secret_msg_positions],
-        crossblock_message=msg_rows[:, P.bec_info_main],
-        per_block=pre_hat[:, P.perblock_message],
-        crossblock_random_extra=rnd_rows[:, code.weak_extra_positions],
+    msg_hats = _per_frame(
+        MessageBundle,
+        crossblock_secret=secret_pre[..., code.secret_msg_positions],
+        crossblock_message=msg_rows[..., P.bec_info_main],
+        per_block=pre_hat[..., P.perblock_message],
+        crossblock_random_extra=rnd_rows[..., code.weak_extra_positions],
     )
-    rnd_hat = RandomBundle(
-        crossblock_secret=secret_pre[:, code.secret_info],
-        block_random=pre_hat[:, P.block_random],
-        crossblock_random=rnd_rows[:, code.random_info],
+    rnd_hats = _per_frame(
+        RandomBundle,
+        crossblock_secret=secret_pre[..., code.secret_info],
+        block_random=pre_hat[..., P.block_random],
+        crossblock_random=rnd_rows[..., code.random_info],
     )
-    return msg_hat, rnd_hat, status
+    results = list(zip(msg_hats, rnd_hats, statuses))
+    return results[0] if single else results
 
 
 def eve_genie_decode(
-    code: HierarchicalCode, llr: np.ndarray, trace: FadingTrace, msg: MessageBundle
-) -> tuple[RandomBundle, DecodeStatus]:
-    """Genie-aided eavesdropper decoder of the (b, n) eavesdropper LLRs
-    ``llr``: receives every message bit and must recover all random fill.
+    code: HierarchicalCode,
+    llr: np.ndarray,
+    trace: FadingTrace | Sequence[FadingTrace],
+    msg: MessageBundle | Sequence[MessageBundle],
+):
+    """Genie-aided eavesdropper decoder of the eavesdropper LLRs ``llr``:
+    receives every message bit and must recover all random fill.
     Measures how completely the randomness saturates the eavesdropper's
     observation (the leakage proxy).
+
+    Given one (b, n) frame, its ``FadingTrace`` and its ``MessageBundle``,
+    returns ``(rnd_hat, status)``.  Given a (T, b, n) stack with T traces
+    and T message bundles, returns the list of the T results, each what
+    that frame alone would give.
 
     Mirrors the receiver's three phases with the eavesdropper's flip laws and
     its own state trace; message-bearing classes are pinned from the genie
@@ -653,26 +711,37 @@ def eve_genie_decode(
     random-fill information sets with the message slices as frozen bits.
     """
     P = code.partition
-    b, n = code.b, code.n
+    llr, (traces, msgs), single = _frames(code, llr, trace, msg)
+    frames, b, n = llr.shape
     msg_shapes, _ = bundle_shapes(code)
-    _check_shapes(msg, msg_shapes, "msg")
+    for m in msgs:
+        _check_shapes(m, msg_shapes, "msg")
+
+    def stacked(field: str) -> np.ndarray:
+        return np.stack([getattr(m, field) for m in msgs])
+
+    def fill(rows: int, *parts: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        # each frame's row fill, frames stacked row-wise
+        return _placed((frames, rows, b), *parts).reshape(frames * rows, b)
 
     message_rows = _row_codewords(
-        P.crossblock_message.size, b, (P.bec_info_main, msg.crossblock_message)
+        (frames, P.crossblock_message.size, b), (P.bec_info_main, stacked("crossblock_message"))
     )
     pinned = _placed(
-        (b, n), (P.crossblock_message, message_rows.T), (P.perblock_message, msg.per_block)
+        (frames, b, n),
+        (P.crossblock_message, message_rows.transpose(0, 2, 1)),
+        (P.perblock_message, stacked("per_block")),
     )
-    secret_fill = _placed(
-        (P.crossblock_secret.size, b), (code.secret_msg_positions, msg.crossblock_secret)
+    secret_fill = fill(
+        P.crossblock_secret.size, (code.secret_msg_positions, stacked("crossblock_secret"))
     )
-    random_fill = _placed(
-        (P.crossblock_random.size, b), (code.weak_extra_positions, msg.crossblock_random_extra)
+    random_fill = fill(
+        P.crossblock_random.size, (code.weak_extra_positions, stacked("crossblock_random_extra"))
     )
-    pre_hat, (dec_secret, dec_random), status = _three_phase(
+    pre_hat, (dec_secret, dec_random), statuses = _three_phase(
         code,
         llr,
-        trace.eve_superior,
+        _superior(code, traces, "eve_superior"),
         pinned=pinned,
         sup_frozen=_mask_of(n, P.frozen, P.perblock_message, P.crossblock_message),
         row_groups=[
@@ -682,12 +751,14 @@ def eve_genie_decode(
         deg_frozen=~_mask_of(n, P.block_random),
     )
 
-    rnd_hat = RandomBundle(
-        crossblock_secret=dec_secret[:, code.secret_info],
-        block_random=pre_hat[:, P.block_random],
-        crossblock_random=dec_random[:, code.random_info],
+    rnd_hats = _per_frame(
+        RandomBundle,
+        crossblock_secret=dec_secret[..., code.secret_info],
+        block_random=pre_hat[..., P.block_random],
+        crossblock_random=dec_random[..., code.random_info],
     )
-    return rnd_hat, status
+    results = list(zip(rnd_hats, statuses))
+    return results[0] if single else results
 
 
 def target_fractions(params: WiretapParams) -> dict:

@@ -190,12 +190,19 @@ SHORT_WIDE = ["--n", "32", "--b", "64", "--delta", "0.9", "--trials", "40", "--s
             "17c456fffc838c97a106b4ad9389033b75c727f36fbe7c07721e7f35152b4ace",
             id="ind-weak-short-wide",
         ),
+        pytest.param(
+            SIM_FLAGS + ["--n", "256", "--b", "128", "--trials", "19", "--seed", "11"],
+            "27b9ac621d701dabbed8d1c648027775b0869a09cba0de601bac87e04d7a20fb",
+            "3103e5bfd603f66dcbacdfe3f3990c1a49df74f86b8242e02b9a02a3c39fb64d",
+            id="sim-a-three-chunks",
+        ),
     ],
 )
 def test_simulate_output_is_pinned(tmp_path, capsys, flags, stdout_sha256, ndjson_sha256):
     # the fixed-seed output contract: stdout JSON and NDJSON records are
     # byte-identical across refactors; the two short-wide runs have frame
-    # failures for both receivers, so their failure paths are pinned too
+    # failures for both receivers, so their failure paths are pinned too,
+    # and the n=256, b=128 run decodes its 19 frames in chunks of 8, 8 and 3
     trials = tmp_path / "trials.ndjson"
     code, out, _ = run(capsys, ["simulate"] + flags + ["--out", str(trials)])
     assert code == 0

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -404,3 +406,19 @@ def test_genie_profile_matches_reference_genie_counts(law, n, trials, seed):
         _, _, leaves = reference_sc(llr[row], np.ones(n, dtype=bool), u[row], law.is_erasure)
         bad += (leaves == 0.0) if law.is_erasure else ((leaves <= 0.0) != u[row])
     assert z.tolist() == (bad / trials).tolist()
+
+
+def test_sc_leaves_no_reference_cycles():
+    # a cycle would keep each call's workspace, frozen values and (genie-mc)
+    # true bits alive until the cyclic collector happens to run
+    rng = np.random.default_rng(61)
+    gc.collect()
+    gc.disable()
+    try:
+        llr, frozen_mask = rng.normal(size=(8, 64)), rng.random(64) < 0.5
+        sc_decode_batch(llr, frozen_mask, np.zeros(64, np.uint8), False)
+        assert gc.collect() == 0
+        reliability_profile(bsc(0.1), 64, "genie-mc", trials=50, rng=rng)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

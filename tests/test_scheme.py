@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -29,6 +31,7 @@ from hierpolar import (
     target_fractions,
     total_message_bits,
     total_random_bits,
+    transmit,
 )
 
 SIM_A = WiretapParams(p1=0.02, p2=0.05, p1s=0.11, p2s=0.15, q1=0.5)
@@ -313,6 +316,57 @@ def test_decoders_never_guess_on_certain_observations(params, n, b, delta, seed,
         assert rnd_eve.same_bits(rnd)
 
 
+STACK_CODES = {params: build_code(params, 32, 32, 0.25) for params in (SIM_A, IND_WEAK)}
+
+
+def assert_same_bundle(got, want) -> None:
+    assert type(got) is type(want)
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert a.dtype == b.dtype and a.shape == b.shape, field.name
+        assert np.array_equal(a, b), field.name
+
+
+@given(st.sampled_from(list(STACK_CODES)), st.integers(1, 4), st.integers(0, 2**32 - 1), st.data())
+def test_stacked_decoders_equal_per_frame_decoders(params, frames, seed, data):
+    # one decode of a (T, b, n) stack gives each frame what decoding it alone
+    # gives; a uniform count of superior blocks per frame mixes frames with
+    # no superior block, all-superior frames and frames the erasure layer
+    # leaves ambiguous in one stack
+    code = STACK_CODES[params]
+    b = code.b
+    rng = np.random.default_rng(seed)
+
+    def states() -> np.ndarray:
+        superior = np.zeros(b, dtype=bool)
+        superior[rng.permutation(b)[: data.draw(st.integers(0, b))]] = True
+        return superior
+
+    traces, msgs, main, eve = [], [], [], []
+    for _ in range(frames):
+        main_states = states()
+        eve_states = main_states if params.coupling == "simultaneous" else states()
+        trace = FadingTrace(main_states, eve_states)
+        msg = MessageBundle.random(code, rng)
+        frame = encode(code, msg, RandomBundle.random(code, rng))
+        main.append(transmit(frame, trace.main_superior, (bsc(params.p1), bsc(params.p2)), rng))
+        eve.append(transmit(frame, trace.eve_superior, (bsc(params.p1s), bsc(params.p2s)), rng))
+        traces.append(trace)
+        msgs.append(msg)
+
+    stacked_bob = bob_decode(code, np.stack(main), traces)
+    stacked_eve = eve_genie_decode(code, np.stack(eve), traces, msgs)
+    assert len(stacked_bob) == len(stacked_eve) == frames
+    for t in range(frames):
+        msg_hat, rnd_hat, status = bob_decode(code, main[t], traces[t])
+        assert_same_bundle(stacked_bob[t][0], msg_hat)
+        assert_same_bundle(stacked_bob[t][1], rnd_hat)
+        assert stacked_bob[t][2] == status
+        rnd_eve, eve_status = eve_genie_decode(code, eve[t], traces[t], msgs[t])
+        assert_same_bundle(stacked_eve[t][0], rnd_eve)
+        assert stacked_eve[t][1] == eve_status
+
+
 def test_all_superior_trace_recovers_without_erasure_decoding():
     rng = np.random.default_rng(83)
     code = build_code(SIM_A, 64, 16)
@@ -364,6 +418,8 @@ def test_decode_input_validation():
     trace = sample_fading(SIM_A, 16, rng)
     with pytest.raises(ValueError, match="llr"):
         bob_decode(code, llr[:-1], trace)
+    with pytest.raises(ValueError, match="traces"):
+        bob_decode(code, np.stack([llr, llr]), [trace])
 
 
 def test_target_fractions_sum_to_one_over_block_classes():

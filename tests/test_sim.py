@@ -26,6 +26,7 @@ from hierpolar import (
     wilson_interval,
     write_trials,
 )
+from hierpolar import sim
 from hierpolar.sim import TRIAL_FIELDS, _manual_toy
 
 SIM_A = WiretapParams(p1=0.02, p2=0.05, p1s=0.11, p2s=0.15, q1=0.5)
@@ -96,6 +97,18 @@ def test_trials_are_independent_of_run_length(params, trials, seed):
         return run_simulation(config, code=SHORT_CODES[params])[1]
 
     assert records(trials) == records(trials + 3)[:trials]
+
+
+@pytest.mark.parametrize("frames_per_chunk", [1, 3])
+def test_records_do_not_depend_on_chunk_size(monkeypatch, frames_per_chunk):
+    # one chunk by default; both receivers fail some of these frames, so a
+    # draw taken from the wrong trial's generator shows in the records
+    config = small_config(n=32, b=64, delta=0.9, trials=10, seed=3)
+    _, want = run_simulation(config)
+    assert not all(r.bob_ok for r in want) and not all(r.eve_ok for r in want)
+    monkeypatch.setattr(sim, "_CHUNK_LLRS", frames_per_chunk * config.b * config.n)
+    _, got = run_simulation(config)
+    assert got == want
 
 
 def test_summary_aggregates_match_records():
