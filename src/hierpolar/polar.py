@@ -18,6 +18,27 @@ bit 0.  ``+inf`` / ``-inf`` encode certainty, 0 encodes a structural erasure
 or a likelihood tie.  Ties on unfrozen decisions decode to bit 1.  For erasure
 laws a zero LLR at an unfrozen decision is a genuine ambiguity and is flagged
 in the ambiguity mask of :func:`sc_decode_batch`, never silently guessed.
+
+Successive cancellation
+-----------------------
+One recursion serves :func:`sc_decode_batch` and the ``genie-mc`` profile.
+Given a frozen mask it prunes by node kind (Alamdar-Yazdi & Kschischang,
+2011; Sarkis et al., 2014), with decisions bit-identical to the full tree.
+A Rate-0 node (all positions frozen) is never descended: its decisions are
+its pinned bits, its partial sums their transform.  Under a flip law a
+Rate-1 node (none frozen) takes the hard decisions ``x = llr <= 0`` as its
+partial sums and ``polar_transform(x)`` as its decisions, if a guard proves
+that no f below it rounds to 0; erasure-law calls prune Rate-0 nodes only
+(ROADMAP item 2a keeps their Rate-1 nodes for a sign arithmetic).
+|f(a, b)| grows with |a| and |b|, and with consistent hard decisions every
+g adds two values of one sign, so the guard is ``min |llr| >= t(w)`` at
+width w, where t(w) is the smallest power of ten m whose f(m, m), applied
+log2(w) times, stays above 0: 1e-161 at w = 2, 1e-4 at 64, 10 at 1024,
+computed from this module's own f.
+
+Each call picks its arithmetic from its LLRs.  When they are finite and
+too small for a sum to overflow, f and g skip the infinity handling.
+Otherwise they handle infinities exactly: inf - inf gives 0.
 """
 
 from __future__ import annotations
@@ -262,19 +283,28 @@ def select_good_set(profile: ReliabilityProfile, threshold: float) -> np.ndarray
     return np.nonzero(profile.z <= threshold)[0].astype(np.int64)
 
 
-def _f_combine(
+def _f_finite(
     a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
 ) -> np.ndarray:
-    # exact check-node update, 2 atanh(tanh(a/2) tanh(b/2)), with the
-    # certainty algebra restored for genuinely infinite inputs; out and
-    # scratch, when given, are arrays of the inputs' shape
+    # check-node update 2 atanh(tanh(a/2) tanh(b/2)), exact while no input is
+    # infinite; out and scratch, when given, are arrays of the inputs' shape
     out = np.multiply(a, 0.5, out=out)
     np.tanh(out, out=out)
     tb = np.multiply(b, 0.5, out=scratch)
     out *= np.tanh(tb, out=tb)
-    np.clip(out, -_ATANH_LIMIT, _ATANH_LIMIT, out=out)
+    np.minimum(out, _ATANH_LIMIT, out=out)
+    np.maximum(out, -_ATANH_LIMIT, out=out)
     np.arctanh(out, out=out)
     out *= 2.0
+    return out
+
+
+def _f_combine(
+    a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> np.ndarray:
+    # exact check-node update, with the certainty algebra restored for
+    # genuinely infinite inputs
+    out = _f_finite(a, b, out, scratch)
     inf_a = np.isinf(a)
     inf_b = np.isinf(b)
     if inf_a.any() or inf_b.any():
@@ -288,81 +318,143 @@ def _f_combine(
     return out
 
 
+def _g_finite(
+    a: np.ndarray, b: np.ndarray, u_left: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    # variable-node update b + (1 - 2 u_left) a, exact while no input is infinite
+    out = np.multiply(u_left, -2.0, out=out, dtype=np.float64)
+    out += 1.0
+    out *= a
+    out += b
+    return out
+
+
 def _g_combine(
     a: np.ndarray, b: np.ndarray, u_left: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    # exact variable-node update, b + (1 - 2 u_left) a; conflicting
-    # certainties (inf - inf) carry no information and collapse to an erasure
-    out = np.multiply(u_left, -2.0, out=out, dtype=np.float64)
-    out += 1.0
+    # exact variable-node update; conflicting certainties (inf - inf) carry
+    # no information and collapse to an erasure
     with np.errstate(invalid="ignore"):
-        out *= a
-        out += b
+        out = _g_finite(a, b, u_left, out)
     bad = np.isnan(out)
     if bad.any():
         out[bad] = 0.0
     return out
 
 
-def _sc_descend(
-    seg: np.ndarray,
-    lo: int,
-    level: int,
-    llrs: list[np.ndarray],
-    sums: list[np.ndarray],
-    scratch: list[np.ndarray],
-    leaf: Callable[[np.ndarray, int], np.ndarray],
-) -> np.ndarray:
+@functools.lru_cache(maxsize=None)
+def _rate1_floor(w: int) -> float:
+    # the smallest power of ten m whose f applied log2(w) times, f(m, m) then
+    # f of that with itself, stays above 0; see the module docstring
+    m = 10.0 ** np.arange(-320, 309)
+    v = m
+    for _ in range(w.bit_length() - 1):
+        v = _f_finite(v, v)
+    return float(m[np.argmax(v > 0.0)])
+
+
+class _SCRun:
+    # one SC pass: the per-level workspace, the arithmetic, the leaf rule
+    # and, when the frozen positions are given, what pruning needs
+    __slots__ = (
+        "llrs", "sums", "scratch", "spare", "f", "g", "leaf", "count", "pins", "decisions", "hard"
+    )
+
+
+def _pinned(run: _SCRun, lo: int, w: int) -> np.ndarray | None:
+    # a Rate-0 node's codeword-order partial sums, after writing its pinned
+    # bits to the decisions; None for any other node
+    count = run.count
+    if count is None or count[lo + w] - count[lo] != w:
+        return None
+    u = run.pins[..., lo : lo + w]
+    run.decisions[:, lo : lo + w] = u
+    # the transform of zero bits is zero, and of a single bit the bit itself
+    return u if w == 1 or not u.any() else polar_transform(u)
+
+
+def _sc_descend(seg: np.ndarray, lo: int, level: int, run: _SCRun) -> np.ndarray:
     # one node of the SC tree: seg holds its (batch, width) LLRs in codeword
-    # order, lo its first decoder-order position.  Its children see the
-    # even/odd pairs of seg through f and g, written into llrs[level]; its
-    # partial sums go to sums[level], left ones first so that g can read them
-    if seg.shape[1] == 1:
-        return leaf(seg[:, 0], lo)[:, None]
-    child, out = llrs[level], sums[level]
-    half = child.shape[1]
+    # order, lo its first decoder-order position; returns its partial sums in
+    # codeword order.  Its children see the even/odd pairs of seg through f
+    # and g, written into llrs[level]; its partial sums go to sums[level],
+    # left ones first so that g can read them
+    w = seg.shape[1]
+    if w == 1:
+        return run.leaf(seg[:, 0], lo)[:, None]
+    if (
+        run.hard
+        and run.count[lo] == run.count[lo + w]
+        and np.abs(seg, out=run.spare[level]).min() >= _rate1_floor(w)
+    ):  # a guarded Rate-1 node: hard decisions are its partial sums
+        x = (seg <= 0).view(np.uint8)
+        run.decisions[:, lo : lo + w] = polar_transform(x)
+        return x
+    child, out = run.llrs[level], run.sums[level]
+    half = w // 2
     a = seg[:, 0::2]
     b = seg[:, 1::2]
     left = out[:, 0::2]
-    left[...] = _sc_descend(
-        _f_combine(a, b, child, scratch[level]), lo, level + 1, llrs, sums, scratch, leaf
-    )
-    x_right = _sc_descend(
-        _g_combine(a, b, left, child), lo + half, level + 1, llrs, sums, scratch, leaf
-    )
-    left ^= x_right
-    out[:, 1::2] = x_right
+    x = _pinned(run, lo, half)
+    if x is None:
+        x = _sc_descend(run.f(a, b, child, run.scratch[level]), lo, level + 1, run)
+    left[...] = x
+    x = _pinned(run, lo + half, half)
+    if x is None:
+        x = _sc_descend(run.g(a, b, left, child), lo + half, level + 1, run)
+    left ^= x
+    out[:, 1::2] = x
     return out
 
 
 def _successive_cancellation(
-    llr: np.ndarray, leaf: Callable[[np.ndarray, int], np.ndarray]
+    llr: np.ndarray,
+    leaf: Callable[[np.ndarray, int], np.ndarray],
+    frozen: np.ndarray | None = None,
+    pins: np.ndarray | None = None,
+    decisions: np.ndarray | None = None,
+    hard: bool = False,
 ) -> None:
     """The SC butterfly over a (batch, n) LLR array in codeword order.
 
     At decoder-order position ``i`` it calls ``leaf(col, i)`` with the
     (batch,) decision LLRs and feeds the (batch,) uint8 bits it returns
-    into the partial sums; the leaf rule alone decides what a bit is.
-    ``llr`` is read, never written.  A node splits its LLRs into even and
-    odd positions, so the tree runs in codeword order without a bit-reversed
-    copy.  Each level keeps one LLR buffer, which its f and then its g
-    values share (the f values are dead once the left subtree returns), and
-    one uint8 partial-sum buffer: batch x n floats and batch x 2n bytes in
-    all, allocated once per call.
+    into the partial sums.  ``llr`` is read, never written.  A node splits
+    its LLRs into even and odd positions, so the tree runs in codeword order
+    without a bit-reversed copy.  Each level keeps one LLR buffer, which its
+    f and then its g values share (the f values are dead once the left
+    subtree returns), and one uint8 partial-sum buffer: batch x n LLRs and
+    batch x 2n bytes in all, allocated once per call.
+
+    Without ``frozen`` every position reaches the leaf rule.  With the (n,)
+    ``frozen`` mask the tree is pruned: a Rate-0 node writes its ``pins``,
+    (n,) or (batch, n), to the (batch, n) ``decisions``; with ``hard`` too,
+    a guarded Rate-1 node writes its hard decisions there.  The leaf rule
+    sees only the unfrozen positions outside them.
     """
     batch, n = llr.shape
+    run = _SCRun()
+    run.leaf, run.pins, run.decisions, run.hard = leaf, pins, decisions, hard
+    run.count = None if frozen is None else [0] + np.cumsum(frozen).tolist()
+    if _pinned(run, 0, n) is not None:
+        return
+    # below this bound no sum of n LLRs, nor any f, can reach an infinity
+    finite = max(llr.max(), -llr.min()) < np.finfo(np.float64).max / (2 * n)
+    run.f, run.g = (_f_finite, _g_finite) if finite else (_f_combine, _g_combine)
     flat = np.empty(batch * n, dtype=np.float64)
     bits = np.empty(2 * batch * n, dtype=np.uint8)
-    llrs, sums, scratch = [], [], []
+    run.llrs, run.sums, run.scratch, run.spare = [], [], [], []
     pos = 0
     for w in (n >> k for k in range(1, n.bit_length())):  # child widths n/2, .., 1
-        llrs.append(flat[pos * batch : (pos + w) * batch].reshape(batch, w))
-        sums.append(bits[2 * pos * batch : 2 * (pos + w) * batch].reshape(batch, 2 * w))
-        # f's half-width scratch: the buffers of the levels below plus the
-        # one spare slot, all dead while this level computes f
-        scratch.append(flat[(n - w) * batch :].reshape(batch, w))
+        run.llrs.append(flat[pos * batch : (pos + w) * batch].reshape(batch, w))
+        run.sums.append(bits[2 * pos * batch : 2 * (pos + w) * batch].reshape(batch, 2 * w))
+        # f's half-width scratch and the Rate-1 guard's full-width one: the
+        # buffers of the levels below plus the one spare slot, all dead
+        # while this level computes f or tests its node
+        run.scratch.append(flat[(n - w) * batch :].reshape(batch, w))
+        run.spare.append(flat[pos * batch :].reshape(batch, 2 * w))
         pos += w
-    _sc_descend(llr, 0, 0, llrs, sums, scratch, leaf)
+    _sc_descend(llr, 0, 0, run)
 
 
 def sc_decode_batch(
@@ -403,7 +495,6 @@ def sc_decode_batch(
     frozen_values = _as_bits(frozen_values, "frozen_values")
     if frozen_values.shape not in ((n,), (batch, n)):
         raise ValueError("frozen_values must be (n,) or (batch, n)")
-    frozen_values = np.broadcast_to(frozen_values, (batch, n))
 
     decisions = np.empty((batch, n), dtype=np.uint8)
     ambiguous = np.zeros(batch, dtype=bool)
@@ -411,15 +502,12 @@ def sc_decode_batch(
         return decisions, ambiguous
 
     def leaf(col: np.ndarray, i: int) -> np.ndarray:
-        if frozen_mask[i]:
-            u = frozen_values[:, i]
-        else:
-            u = (col <= 0.0).astype(np.uint8)
-            if erasure_law:
-                np.logical_or(ambiguous, col == 0.0, out=ambiguous)
+        u = (col <= 0.0).view(np.uint8)
+        if erasure_law:
+            np.logical_or(ambiguous, col == 0.0, out=ambiguous)
         decisions[:, i] = u
         return u
 
-    _successive_cancellation(llr, leaf)
+    _successive_cancellation(llr, leaf, frozen_mask, frozen_values, decisions, not erasure_law)
     return decisions, ambiguous
 

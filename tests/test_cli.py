@@ -196,13 +196,27 @@ SHORT_WIDE = ["--n", "32", "--b", "64", "--delta", "0.9", "--trials", "40", "--s
             "3103e5bfd603f66dcbacdfe3f3990c1a49df74f86b8242e02b9a02a3c39fb64d",
             id="sim-a-three-chunks",
         ),
+        pytest.param(
+            SIM_FLAGS + ["--n", "1024", "--b", "128", "--trials", "5", "--seed", "21"],
+            "4acb87ccc973138274acdfdf25dd10b0009d0cd43c3235b9c2850ebff7595af4",
+            "70698b563de62a2127fde63adb98c87f23607b916ef3ca55040e2668c62d9240",
+            id="sim-a-n1024",
+        ),
+        pytest.param(
+            IND_WEAK_FLAGS + ["--n", "64", "--b", "1024", "--trials", "4", "--seed", "3"],
+            "700d1a84ef8596f8795cc48a2e0ff00871b93a99f1439888eed4ac659152b460",
+            "f792fd6a3c7b3e2c9d1328023e3b266a4dc56a0c70416bac89767c651c1a85d7",
+            id="ind-weak-b1024",
+        ),
     ],
 )
 def test_simulate_output_is_pinned(tmp_path, capsys, flags, stdout_sha256, ndjson_sha256):
     # the fixed-seed output contract: stdout JSON and NDJSON records are
     # byte-identical across refactors; the two short-wide runs have frame
     # failures for both receivers, so their failure paths are pinned too,
-    # and the n=256, b=128 run decodes its 19 frames in chunks of 8, 8 and 3
+    # and the n=256, b=128 run decodes its 19 frames in chunks of 8, 8 and 3;
+    # the n=1024 run meets the strictest Rate-1 guard of the SC decoder and
+    # the b=1024 run its widest erasure calls
     trials = tmp_path / "trials.ndjson"
     code, out, _ = run(capsys, ["simulate"] + flags + ["--out", str(trials)])
     assert code == 0

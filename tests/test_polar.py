@@ -6,15 +6,17 @@ import gc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from hierpolar import (
     ReliabilityProfile,
+    WiretapParams,
     bec,
     bit_reversal_permutation,
     bsc,
+    build_code,
     polar_transform,
     polar_transform_inverse,
     reliability_profile,
@@ -389,6 +391,129 @@ def test_sc_batch_matches_reference_recursion(case):
         assert ambiguous[row] == want_ambiguous
 
 
+def plain_sc(llr, frozen_mask, frozen_values, erasure_law):
+    """The unpruned batched SC recursion: every node computes f and g with
+    the general arithmetic, every position reaches the leaf rule.  The
+    reference for sizes too large for reference_sc."""
+    batch, n = llr.shape
+    values = np.broadcast_to(frozen_values, (batch, n))
+    decisions = np.empty((batch, n), dtype=np.uint8)
+    ambiguous = np.zeros(batch, dtype=bool)
+
+    def descend(seg, lo):  # seg in codeword order; returns the partial sums
+        if seg.shape[1] == 1:
+            col = seg[:, 0]
+            if frozen_mask[lo]:
+                u = values[:, lo]
+            else:
+                u = (col <= 0.0).astype(np.uint8)
+                if erasure_law:
+                    ambiguous[:] |= col == 0.0
+            decisions[:, lo] = u
+            return u[:, None]
+        a, b = seg[:, 0::2], seg[:, 1::2]
+        left = descend(_f_combine(a, b), lo)
+        right = descend(_g_combine(a, b, left), lo + seg.shape[1] // 2)
+        out = np.empty(seg.shape, dtype=np.uint8)
+        out[:, 0::2] = left ^ right
+        out[:, 1::2] = right
+        return out
+
+    descend(llr, 0)
+    return decisions, ambiguous
+
+
+@given(sc_inputs())
+def test_plain_sc_matches_reference_recursion(case):
+    llr, frozen_mask, frozen_values, erasure_law = case
+    decisions, ambiguous = plain_sc(llr, frozen_mask, frozen_values, erasure_law)
+    values = np.broadcast_to(frozen_values, llr.shape)
+    for row in range(llr.shape[0]):
+        want, want_ambiguous, _ = reference_sc(llr[row], frozen_mask, values[row], erasure_law)
+        assert decisions[row].tolist() == want.tolist()
+        assert ambiguous[row] == want_ambiguous
+
+
+def phase_masks(code):
+    """The frozen masks of both receivers' three phases for ``code``."""
+    P, n, b = code.partition, code.n, code.b
+
+    def mask(size, *index_sets):
+        out = np.zeros(size, dtype=bool)
+        for idx in index_sets:
+            out[idx] = True
+        return out
+
+    return [
+        mask(n, P.frozen),  # Bob, phase one
+        ~mask(b, P.bec_info_main),  # Bob, phase two
+        mask(n, P.frozen, P.crossblock_message, P.crossblock_random),  # Bob, phase three
+        mask(n, P.frozen, P.perblock_message, P.crossblock_message),  # Eve, phase one
+        ~mask(b, code.secret_info),  # Eve, phase two
+        ~mask(b, code.random_info),
+        ~mask(n, P.block_random),  # Eve, phase three
+    ]
+
+
+FIXTURE = WiretapParams(p1=0.02, p2=0.05, p1s=0.11, p2s=0.15, q1=0.5)
+IND_WEAK = WiretapParams(
+    p1=0.02, p2=0.11, p1s=0.05, p2s=0.15, q1=0.6, q1s=0.4, coupling="independent"
+)
+PHASE_MASKS = [
+    *phase_masks(build_code(FIXTURE, 1024, 128)),
+    *phase_masks(build_code(IND_WEAK, 64, 1024)),
+]
+
+
+@st.composite
+def pruned_sc_inputs(draw):
+    # numpy draws from a hypothesis seed: element-wise drawing at n=1024 is
+    # too slow, and the seed still shrinks
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        frozen_mask = draw(st.sampled_from(PHASE_MASKS))
+    else:
+        n = 1 << draw(st.integers(0, 10))
+        frozen_mask = rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))
+    n = frozen_mask.size
+    rows = draw(st.integers(1, 4))
+    # up to 1e308, where sums of a few LLRs overflow to infinities
+    lo = draw(st.integers(-320, 308))
+    mag = 10.0 ** rng.uniform(lo, draw(st.integers(lo, 308)), size=(rows, n))
+    llr = np.where(rng.random((rows, n)) < 0.5, -mag, mag)
+    kind = draw(st.sampled_from(["finite", "ternary", "mixed"]))
+    if kind != "finite":
+        certain = rng.random((rows, n)) < (1.0 if kind == "ternary" else 0.5)
+        llr[certain] = np.copysign(np.inf, llr[certain])
+    zero = rng.random((rows, n)) < draw(st.sampled_from([0.0, 0.01, 0.3]))
+    llr[zero] = np.copysign(0.0, llr[zero])
+    shape = (rows, n) if draw(st.booleans()) else (n,)
+    frozen_values = rng.integers(0, 2, size=shape, dtype=np.uint8) * draw(st.sampled_from([0, 1]))
+    return llr, frozen_mask, frozen_values, draw(st.booleans())
+
+
+@settings(max_examples=120)
+@given(pruned_sc_inputs())
+def test_pruned_sc_matches_plain_recursion(case):
+    # finite, ternary and mixed calls take their own arithmetic and prune
+    # Rate-0 and guarded Rate-1 nodes; none of it may move a decision
+    llr, frozen_mask, frozen_values, erasure_law = case
+    decisions, ambiguous = sc_decode_batch(llr, frozen_mask, frozen_values, erasure_law)
+    want, want_ambiguous = plain_sc(llr, frozen_mask, frozen_values, erasure_law)
+    assert np.array_equal(decisions, want)
+    assert np.array_equal(ambiguous, want_ambiguous)
+
+
+@pytest.mark.parametrize("n, magnitude", [(1024, 1.0), (8, 1e-120), (2, 1e-300)])
+def test_rate1_guard_keeps_underflowed_ties(n, magnitude):
+    # f applied log2(n) times to these magnitudes underflows to a tie, so
+    # every position decides 1; hard decisions would decide 0 throughout
+    llr = np.full((1, n), magnitude)
+    decisions, ambiguous = sc_decode_batch(llr, np.zeros(n, bool), np.zeros(n, np.uint8), False)
+    assert decisions.tolist() == [[1] * n]
+    assert not ambiguous.any()
+    assert plain_sc(llr, np.zeros(n, bool), np.zeros(n, np.uint8), False)[0].tolist() == [[1] * n]
+
 @given(
     st.sampled_from([bsc(0.11), bsc(0.3), bec(0.4)]),
     st.sampled_from([2, 4, 8, 16]),
@@ -422,3 +547,14 @@ def test_sc_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_sums_overflowing_to_opposite_infinities_cancel_to_a_tie():
+    # g sums the two halves to +inf and -inf; the pinned bit at position 2
+    # makes the next g add them, which must give a tie, as inf - inf does
+    llr = np.array([[1e308, 1e308, -1e308, -1e308]])
+    mask = np.array([True, True, True, False])
+    with np.errstate(over="ignore"):
+        decisions, ambiguous = sc_decode_batch(llr, mask, np.zeros(4, np.uint8), True)
+    assert decisions.tolist() == [[0, 0, 0, 1]]
+    assert ambiguous.tolist() == [True]
