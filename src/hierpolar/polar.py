@@ -21,9 +21,9 @@ in the ambiguity mask of :func:`sc_decode_batch`, never silently guessed.
 
 Successive cancellation
 -----------------------
-One recursion serves :func:`sc_decode_batch` and the ``genie-mc`` profile.
-Given a frozen mask it prunes by node kind (Alamdar-Yazdi & Kschischang,
-2011; Sarkis et al., 2014), with decisions bit-identical to the full tree.
+:func:`sc_decode_batch` runs one recursion, pruned by node kind
+(Alamdar-Yazdi & Kschischang, 2011; Sarkis et al., 2014), with decisions
+bit-identical to the full tree.
 A Rate-0 node (all positions frozen) is never descended: its decisions are
 its pinned bits, its partial sums their transform.  Under a flip law a
 Rate-1 node (none frozen) takes the hard decisions ``x = llr <= 0`` as its
@@ -39,13 +39,19 @@ computed from this module's own f.
 Each call picks its arithmetic from its LLRs.  When they are finite and
 too small for a sum to overflow, f and g skip the infinity handling.
 Otherwise they handle infinities exactly: inf - inf gives 0.
+
+The ``genie-mc`` profile does not run this recursion.  Its genie knows
+every partial sum, so no decision feeds back: it evolves the all-zero
+codeword's LLRs one tree level at a time with the same f and g, which gives
+each decision LLR of any codeword up to its sign (Arikan, 2009; Vangala,
+Viterbo & Hong, 2015).
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -63,6 +69,11 @@ __all__ = [
 ]
 
 PROFILE_METHODS = ("exact-bec", "bhattacharyya-bound", "genie-mc")
+
+# LLRs per genie-mc tile: the profile draws its channel and evolves the
+# tree levels on whole rows of about this many LLRs at a time, so its
+# buffers stay small
+_GENIE_TILE = 1 << 16
 
 # tanh saturates near 19; this keeps arctanh finite unless an input was
 # genuinely infinite, in which case the exact certainty algebra takes over.
@@ -206,27 +217,60 @@ def _channel_llrs(
 
 
 def _genie_mc_profile(law: "ChannelLaw", n: int, trials: int, rng: np.random.Generator) -> np.ndarray:
-    # genie-aided SC: every partial sum uses the true bit, and each leaf
-    # counts the rows whose decision there would be wrong (erased, for an
-    # erasure law)
-    bad = np.zeros(n, dtype=np.float64)
-    done = 0
-    chunk = max(1, min(trials, (1 << 22) // n))
-    while done < trials:
-        m = min(chunk, trials - done)
-        u = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
-        llr = _channel_llrs(polar_transform(u), np.ones(m, dtype=bool), (law, law), rng)
-
-        def leaf(col: np.ndarray, i: int) -> np.ndarray:
-            if law.kind == "bsc":
-                bad[i] += np.count_nonzero((col <= 0.0) != u[:, i])
+    # genie-aided SC, where every partial sum is the true bit.  The channel
+    # is symmetric, so the LLRs of codeword x are those of the zero codeword
+    # times (-1)^x: f is odd in each argument, and g with the true left bits
+    # adds the halves up to that sign.  With nothing fed back, the zero
+    # codeword's tree runs one level at a time (see _genie_levels); u is
+    # drawn only to keep the generator's stream and to score each position:
+    # a tie decides 1, so it is wrong where the true bit is 0 (an erasure
+    # law counts every tie).  A chunk of trials draws its bits, then its
+    # channel tile by tile, which yields the values of one channel draw
+    bad = np.zeros(n, dtype=np.int64)
+    finite = bool(np.isfinite(_llr_magnitude(law)))
+    perm = bit_reversal_permutation(n)
+    tile = max(1, min(trials, _GENIE_TILE // n))
+    zero, superior = np.zeros((tile, n), dtype=np.uint8), np.ones(tile, dtype=bool)
+    work = np.empty(3 * tile * n, dtype=np.float64)
+    chunk = max(1, (1 << 22) // n)
+    for done in range(0, trials, chunk):
+        u = rng.integers(0, 2, size=(min(chunk, trials - done), n), dtype=np.uint8)
+        for r in range(0, u.shape[0], tile):
+            t = min(tile, u.shape[0] - r)
+            llr = _channel_llrs(zero[:t], superior[:t], (law, law), rng)
+            cur, nxt, scratch = (work[k * t * n : (k + 1) * t * n].reshape(n, t) for k in range(3))
+            np.take(llr.T, perm, axis=0, out=cur)
+            leaves = _genie_levels(cur, nxt, scratch, finite)
+            if law.is_erasure:
+                bad += np.count_nonzero(leaves == 0.0, axis=1)
             else:
-                bad[i] += np.count_nonzero(col == 0.0)
-            return u[:, i]
-
-        _successive_cancellation(llr, leaf)
-        done += m
+                bad += np.count_nonzero(np.where(u[r : r + t].T, leaves < 0.0, leaves <= 0.0), axis=1)
     return bad / float(trials)
+
+
+def _genie_levels(cur: np.ndarray, nxt: np.ndarray, scratch: np.ndarray, finite: bool) -> np.ndarray:
+    # the zero codeword's SC tree one level at a time, on (n, rows) LLRs in
+    # bit-reversed order: a node of width w holds its even codeword positions
+    # in its first half and its odd ones in its second, each half again in
+    # bit-reversed order, so its children are f and the sum of its halves,
+    # laid out side by side.  After log2(n) levels row i holds the decision
+    # LLRs of decoder position i.  cur, nxt and scratch are workspaces of the
+    # same shape; the result is one of the first two
+    n, t = cur.shape
+    f = _f_finite if finite else _f_combine
+    w = n
+    while w > 1:
+        half = w // 2
+        a, b = cur.reshape(n // w, 2, half, t).transpose(1, 0, 2, 3)
+        left, right = nxt.reshape(n // w, 2, half, t).transpose(1, 0, 2, 3)
+        f(a, b, left, scratch[: n // 2].reshape(n // w, half, t))
+        if finite:
+            np.add(a, b, out=right)
+        else:
+            with np.errstate(invalid="ignore"):
+                _nan_to_tie(np.add(a, b, out=right))
+        cur, nxt, w = nxt, cur, half
+    return cur
 
 
 def reliability_profile(
@@ -251,7 +295,10 @@ def reliability_profile(
         parameter: ``2 sqrt(p(1-p))`` for a flip law (upper bounds), the
         erasure probability for an erasure law (exact there).
         ``genie-mc`` estimates per-index decision error rates from ``trials``
-        genie-aided successive cancellation runs.
+        genie-aided successive cancellation runs, where every earlier bit is
+        known: the all-zero codeword's LLRs, evolved level by level, scored
+        against random bits drawn alongside (a tie decides 1; under an
+        erasure law every tie counts).  ``trials`` is a positive int.
     """
     n = _require_block_length(n)
     if method == "exact-bec":
@@ -266,8 +313,8 @@ def reliability_profile(
             z0 = float(law.param)
         z = _doubling_recursion(z0, n)
     elif method == "genie-mc":
-        if trials < 1:
-            raise ValueError("genie-mc needs a positive trial count")
+        if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
+            raise ValueError(f"genie-mc trials must be a positive integer, got {trials!r}")
         if rng is None:
             rng = np.random.default_rng(0)
         z = _genie_mc_profile(law, n, int(trials), rng)
@@ -332,10 +379,15 @@ def _g_finite(
 def _g_combine(
     a: np.ndarray, b: np.ndarray, u_left: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    # exact variable-node update; conflicting certainties (inf - inf) carry
-    # no information and collapse to an erasure
-    with np.errstate(invalid="ignore"):
+    # exact variable-node update; sums may overflow to an infinity
+    with np.errstate(invalid="ignore", over="ignore"):
         out = _g_finite(a, b, u_left, out)
+    return _nan_to_tie(out)
+
+
+def _nan_to_tie(out: np.ndarray) -> np.ndarray:
+    # conflicting certainties (inf - inf) carry no information and collapse
+    # to an erasure
     bad = np.isnan(out)
     if bad.any():
         out[bad] = 0.0
@@ -354,18 +406,18 @@ def _rate1_floor(w: int) -> float:
 
 
 class _SCRun:
-    # one SC pass: the per-level workspace, the arithmetic, the leaf rule
-    # and, when the frozen positions are given, what pruning needs
+    # one SC pass: the per-level workspace, the arithmetic, what pruning
+    # needs and where the decisions and ambiguity flags go
     __slots__ = (
-        "llrs", "sums", "scratch", "spare", "f", "g", "leaf", "count", "pins", "decisions", "hard"
+        "llrs", "sums", "scratch", "spare", "f", "g", "count", "pins", "decisions", "ambiguous",
+        "erasure",
     )
 
 
 def _pinned(run: _SCRun, lo: int, w: int) -> np.ndarray | None:
     # a Rate-0 node's codeword-order partial sums, after writing its pinned
     # bits to the decisions; None for any other node
-    count = run.count
-    if count is None or count[lo + w] - count[lo] != w:
+    if run.count[lo + w] - run.count[lo] != w:
         return None
     u = run.pins[..., lo : lo + w]
     run.decisions[:, lo : lo + w] = u
@@ -380,10 +432,15 @@ def _sc_descend(seg: np.ndarray, lo: int, level: int, run: _SCRun) -> np.ndarray
     # and g, written into llrs[level]; its partial sums go to sums[level],
     # left ones first so that g can read them
     w = seg.shape[1]
-    if w == 1:
-        return run.leaf(seg[:, 0], lo)[:, None]
+    if w == 1:  # an unfrozen position: a tie decides 1
+        col = seg[:, 0]
+        if run.erasure:
+            np.logical_or(run.ambiguous, col == 0.0, out=run.ambiguous)
+        u = (col <= 0.0).view(np.uint8)
+        run.decisions[:, lo] = u
+        return u[:, None]
     if (
-        run.hard
+        not run.erasure
         and run.count[lo] == run.count[lo + w]
         and np.abs(seg, out=run.spare[level]).min() >= _rate1_floor(w)
     ):  # a guarded Rate-1 node: hard decisions are its partial sums
@@ -409,33 +466,32 @@ def _sc_descend(seg: np.ndarray, lo: int, level: int, run: _SCRun) -> np.ndarray
 
 def _successive_cancellation(
     llr: np.ndarray,
-    leaf: Callable[[np.ndarray, int], np.ndarray],
-    frozen: np.ndarray | None = None,
-    pins: np.ndarray | None = None,
-    decisions: np.ndarray | None = None,
-    hard: bool = False,
+    frozen: np.ndarray,
+    pins: np.ndarray,
+    decisions: np.ndarray,
+    ambiguous: np.ndarray,
+    erasure_law: bool,
 ) -> None:
-    """The SC butterfly over a (batch, n) LLR array in codeword order.
+    """The pruned SC butterfly over a (batch, n) LLR array in codeword order.
 
-    At decoder-order position ``i`` it calls ``leaf(col, i)`` with the
-    (batch,) decision LLRs and feeds the (batch,) uint8 bits it returns
-    into the partial sums.  ``llr`` is read, never written.  A node splits
-    its LLRs into even and odd positions, so the tree runs in codeword order
-    without a bit-reversed copy.  Each level keeps one LLR buffer, which its
-    f and then its g values share (the f values are dead once the left
-    subtree returns), and one uint8 partial-sum buffer: batch x n LLRs and
-    batch x 2n bytes in all, allocated once per call.
+    It writes the decoder-order bits to the (batch, n) ``decisions``: the
+    (n,) or (batch, n) ``pins`` where the (n,) ``frozen`` mask is set, and
+    ``llr <= 0`` of the decision LLR elsewhere.  Under an erasure law a zero
+    decision LLR also sets the row's flag in the (batch,) ``ambiguous``.
+    ``llr`` is read, never written.  A node splits its LLRs into even and
+    odd positions, so the tree runs in codeword order without a bit-reversed
+    copy.  Each level keeps one LLR buffer, which its f and then its g
+    values share (the f values are dead once the left subtree returns), and
+    one uint8 partial-sum buffer: batch x n LLRs and batch x 2n bytes in
+    all, allocated once per call.
 
-    Without ``frozen`` every position reaches the leaf rule.  With the (n,)
-    ``frozen`` mask the tree is pruned: a Rate-0 node writes its ``pins``,
-    (n,) or (batch, n), to the (batch, n) ``decisions``; with ``hard`` too,
-    a guarded Rate-1 node writes its hard decisions there.  The leaf rule
-    sees only the unfrozen positions outside them.
+    A Rate-0 node writes its pins without descending; under a flip law a
+    guarded Rate-1 node writes its hard decisions.
     """
     batch, n = llr.shape
     run = _SCRun()
-    run.leaf, run.pins, run.decisions, run.hard = leaf, pins, decisions, hard
-    run.count = None if frozen is None else [0] + np.cumsum(frozen).tolist()
+    run.pins, run.decisions, run.ambiguous, run.erasure = pins, decisions, ambiguous, erasure_law
+    run.count = [0] + np.cumsum(frozen).tolist()
     if _pinned(run, 0, n) is not None:
         return
     # below this bound no sum of n LLRs, nor any f, can reach an infinity
@@ -498,16 +554,7 @@ def sc_decode_batch(
 
     decisions = np.empty((batch, n), dtype=np.uint8)
     ambiguous = np.zeros(batch, dtype=bool)
-    if batch == 0:
-        return decisions, ambiguous
-
-    def leaf(col: np.ndarray, i: int) -> np.ndarray:
-        u = (col <= 0.0).view(np.uint8)
-        if erasure_law:
-            np.logical_or(ambiguous, col == 0.0, out=ambiguous)
-        decisions[:, i] = u
-        return u
-
-    _successive_cancellation(llr, leaf, frozen_mask, frozen_values, decisions, not erasure_law)
+    if batch > 0:
+        _successive_cancellation(llr, frozen_mask, frozen_values, decisions, ambiguous, erasure_law)
     return decisions, ambiguous
 

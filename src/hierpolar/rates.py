@@ -42,7 +42,8 @@ _CAPACITY_TOL = 1e-12
 def binary_entropy(p):
     """H(p) = -p log2 p - (1-p) log2 (1-p), elementwise, H(0) = H(1) = 0."""
     arr = np.asarray(p, dtype=np.float64)
-    if (arr < 0.0).any() or (arr > 1.0).any():
+    # written so that NaN, which fails every comparison, is rejected too
+    if not ((arr >= 0.0).all() and (arr <= 1.0).all()):
         raise ValueError("binary_entropy domain is [0, 1]")
     with np.errstate(divide="ignore", invalid="ignore"):
         h = -arr * np.log2(arr) - (1.0 - arr) * np.log2(1.0 - arr)

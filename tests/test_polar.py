@@ -24,7 +24,7 @@ from hierpolar import (
     select_good_set,
     transmit,
 )
-from hierpolar.polar import _f_combine, _g_combine
+from hierpolar.polar import _GENIE_TILE, _f_combine, _g_combine
 
 
 def dense_generator(n: int) -> np.ndarray:
@@ -205,8 +205,10 @@ def test_genie_profile_on_noiseless_law_is_zero():
 
 
 def test_genie_profile_rejects_bad_trials():
-    with pytest.raises(ValueError):
-        reliability_profile(bsc(0.1), 8, "genie-mc", trials=0)
+    for trials in (0, -3, 2.5, 3.0, True, False, "5"):
+        with pytest.raises(ValueError, match="trials"):
+            reliability_profile(bsc(0.1), 8, "genie-mc", trials=trials)
+    assert reliability_profile(bsc(0.1), 8, "genie-mc", trials=np.int64(3)).z.shape == (8,)
 
 
 def certain_llr(bits) -> np.ndarray:
@@ -533,6 +535,79 @@ def test_genie_profile_matches_reference_genie_counts(law, n, trials, seed):
     assert z.tolist() == (bad / trials).tolist()
 
 
+def genie_leaves(llr, u):
+    """The genie-aided SC recursion: plain_sc's depth-first tree with the
+    true bits ``u`` as every partial sum.  Returns the (batch, n) decision
+    LLRs in decoder order."""
+    leaves = np.empty(llr.shape)
+
+    def descend(seg, lo):  # seg in codeword order; returns the true partial sums
+        if seg.shape[1] == 1:
+            leaves[:, lo] = seg[:, 0]
+            return u[:, lo : lo + 1]
+        a, b = seg[:, 0::2], seg[:, 1::2]
+        left = descend(_f_combine(a, b), lo)
+        right = descend(_g_combine(a, b, left), lo + seg.shape[1] // 2)
+        out = np.empty(seg.shape, dtype=np.uint8)
+        out[:, 0::2] = left ^ right
+        out[:, 1::2] = right
+        return out
+
+    descend(llr, 0)
+    return leaves
+
+
+@st.composite
+def genie_cases(draw, kind):
+    # a law of the given kind; trial counts around one, two and three row
+    # tiles and just past a draw chunk of 2^22 / n trials, at whose end the
+    # tiles start over
+    n = draw(st.sampled_from([1 << k for k in range(10, 0, -1)]))
+    if kind == "bsc(p)":
+        law = bsc(draw(st.floats(0.001, 0.45)))
+    elif kind == "bec(q)":
+        law = bec(draw(st.floats(0.01, 0.99)))
+    else:
+        law = (bsc if kind.startswith("bsc") else bec)(float(kind[4:-1]))
+    tile, chunk = max(1, _GENIE_TILE // n), (1 << 22) // n
+    base = draw(st.sampled_from([0, tile, 2 * tile, 3 * tile, chunk]))
+    trials = max(1, base + draw(st.integers(-2, 2 if base else 40)))
+    return law, n, trials, draw(st.integers(0, 2**32 - 1))
+
+
+def assert_genie_profile_matches_depth_first(law, n, trials, seed):
+    # the level-wise zero-codeword profile against the genie on the drawn
+    # codewords, through the general f and g
+    z = reliability_profile(law, n, "genie-mc", trials=trials, rng=np.random.default_rng(seed)).z
+    # the profile's draws: per chunk of trials, the bits, then the channel
+    rng = np.random.default_rng(seed)
+    bad = np.zeros(n)
+    chunk = (1 << 22) // n
+    for done in range(0, trials, chunk):
+        m = min(chunk, trials - done)
+        u = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
+        leaves = genie_leaves(transmit(polar_transform(u), np.ones(m, dtype=bool), (law, law), rng), u)
+        wrong = (leaves == 0.0) if law.is_erasure else ((leaves <= 0.0) != u)
+        bad += wrong.sum(axis=0)
+    assert z.tolist() == (bad / trials).tolist()
+
+
+@pytest.mark.parametrize("kind", ["bsc(0)", "bsc(p)", "bsc(0.5)", "bec(0)", "bec(q)", "bec(1)"])
+@settings(max_examples=6)
+@given(data=st.data())
+def test_genie_profile_matches_depth_first_genie(kind, data):
+    assert_genie_profile_matches_depth_first(*data.draw(genie_cases(kind)))
+
+
+@pytest.mark.parametrize(
+    "law, trials", [(bsc(0.11), 4096 + _GENIE_TILE // 1024 + 1), (bec(0.3), 3 * _GENIE_TILE // 1024 + 1)]
+)
+def test_genie_profile_matches_depth_first_genie_at_tile_and_chunk_ends(law, trials):
+    # noisy laws at n = 1024: one tile and a row past a draw chunk, and a
+    # row past three tiles
+    assert_genie_profile_matches_depth_first(law, 1024, trials, 7)
+
+
 def test_sc_leaves_no_reference_cycles():
     # a cycle would keep each call's workspace, frozen values and (genie-mc)
     # true bits alive until the cyclic collector happens to run
@@ -554,7 +629,6 @@ def test_sums_overflowing_to_opposite_infinities_cancel_to_a_tie():
     # makes the next g add them, which must give a tie, as inf - inf does
     llr = np.array([[1e308, 1e308, -1e308, -1e308]])
     mask = np.array([True, True, True, False])
-    with np.errstate(over="ignore"):
-        decisions, ambiguous = sc_decode_batch(llr, mask, np.zeros(4, np.uint8), True)
+    decisions, ambiguous = sc_decode_batch(llr, mask, np.zeros(4, np.uint8), True)
     assert decisions.tolist() == [[0, 0, 0, 1]]
     assert ambiguous.tolist() == [True]

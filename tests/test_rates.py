@@ -65,6 +65,9 @@ def test_entropy_domain_checked():
         binary_entropy(-0.1)
     with pytest.raises(ValueError):
         binary_entropy(np.array([0.2, 1.3]))
+    for nan in (float("nan"), np.nan, np.array([0.2, np.nan]), np.array(np.nan)):
+        with pytest.raises(ValueError, match="domain"):
+            binary_entropy(nan)
 
 
 def test_sim_capacity_trivial_points():
