@@ -41,6 +41,14 @@ _CAPACITY_TOL = 1e-12
 
 def binary_entropy(p):
     """H(p) = -p log2 p - (1-p) log2 (1-p), elementwise, H(0) = H(1) = 0."""
+    if isinstance(p, float):
+        # a float (np.float64 too) skips the 0-d array; np.log2 on it rounds
+        # as the array path does, where math.log2 differs in the last bit
+        if not 0.0 <= p <= 1.0:
+            raise ValueError("binary_entropy domain is [0, 1]")
+        if p == 0.0 or p == 1.0:
+            return 0.0
+        return float(-p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p))
     arr = np.asarray(p, dtype=np.float64)
     # written so that NaN, which fails every comparison, is rejected too
     if not ((arr >= 0.0).all() and (arr <= 1.0).all()):
@@ -58,30 +66,44 @@ def _check_prob(name: str, v: float, hi: float = 1.0) -> float:
     return v
 
 
-def _sim_capacity(p1: float, p2: float, p1s: float, p2s: float, q1: float) -> float:
-    h1, h2, h1s, h2s = (binary_entropy(v) for v in (p1, p2, p1s, p2s))
+def _entropies(params: WiretapParams) -> tuple[float, float, float, float]:
+    # (H(p1), H(p2), H(p1s), H(p2s)), the arguments of the helpers below
+    return tuple(binary_entropy(v) for v in (params.p1, params.p2, params.p1s, params.p2s))
+
+
+def _sim_capacity(h: tuple, params: WiretapParams) -> float:
+    h1, h2, h1s, h2s = h
+    q1 = params.q1
     return q1 * (h1s - h1) + (1.0 - q1) * (h2s - h2)
 
 
-def _ind_strong_capacity(
-    p1: float, p2: float, p1s: float, p2s: float, q1: float, q1s: float
-) -> float:
-    h1, h2, h1s, h2s = (binary_entropy(v) for v in (p1, p2, p1s, p2s))
+def _ind_strong_capacity(h: tuple, params: WiretapParams) -> float:
+    h1, h2, h1s, h2s = h
+    q1, q1s = params.q1, params.q1s
     return q1s * h1s + (1.0 - q1s) * h2s - q1 * h1 - (1.0 - q1) * h2
 
 
-def _weak_upper(p1: float, p2: float, p1s: float, p2s: float, q1: float, q1s: float) -> float:
-    h1, h2, h1s, h2s = (binary_entropy(v) for v in (p1, p2, p1s, p2s))
+def _weak_upper(h: tuple, params: WiretapParams) -> float:
+    h1, h2, h1s, h2s = h
+    q1, q1s = params.q1, params.q1s
     q2, q2s = 1.0 - q1, 1.0 - q1s
     return q1 * q1s * h1s + q2s * h2s - q1 * h1 - q2 * q2s * h2
 
 
-def _weak_achievable(
-    p1: float, p2: float, p1s: float, p2s: float, q1: float, q1s: float
-) -> float:
-    h1, h2, h1s, h2s = (binary_entropy(v) for v in (p1, p2, p1s, p2s))
+def _weak_achievable(h: tuple, params: WiretapParams) -> float:
+    h1, h2, h1s, h2s = h
+    q1, q1s = params.q1, params.q1s
     q2s = 1.0 - q1s
     return q1 * (h1s - h1) + q2s * (h2s - h2) + (q1 - q1s) * (h2 - h1s)
+
+
+def _gap(h2: float, h1s: float, params: WiretapParams) -> tuple[float, float]:
+    spread = h2 - h1s
+    return params.q1s * params.q2 * spread, 0.25 * spread
+
+
+def _eve_capacity(h1s: float, h2s: float, params: WiretapParams) -> float:
+    return params.q1s * (1.0 - h1s) + params.q2s * (1.0 - h2s)
 
 
 def secrecy_capacity_simultaneous(params: WiretapParams) -> float:
@@ -89,7 +111,7 @@ def secrecy_capacity_simultaneous(params: WiretapParams) -> float:
     ``q1 (H(p1s) - H(p1)) + q2 (H(p2s) - H(p2))``."""
     if params.coupling != "simultaneous":
         raise ValueError("formula requires simultaneous coupling")
-    return _sim_capacity(params.p1, params.p2, params.p1s, params.p2s, params.q1)
+    return _sim_capacity(_entropies(params), params)
 
 
 def capacity_independent_strong(params: WiretapParams) -> float:
@@ -99,9 +121,7 @@ def capacity_independent_strong(params: WiretapParams) -> float:
         raise ValueError("formula requires independent coupling")
     if params.p2 > params.p1s:
         raise ValueError("strong ordering requires p2 <= p1s")
-    return _ind_strong_capacity(
-        params.p1, params.p2, params.p1s, params.p2s, params.q1, params.q1s
-    )
+    return _ind_strong_capacity(_entropies(params), params)
 
 
 def bounds_independent_weak(params: WiretapParams) -> tuple[float, float]:
@@ -123,8 +143,8 @@ def bounds_independent_weak(params: WiretapParams) -> tuple[float, float]:
         raise UnsupportedScenarioError(
             "no achievable scheme for q1 < q1s under the interleaved ordering"
         )
-    args = (params.p1, params.p2, params.p1s, params.p2s, params.q1, params.q1s)
-    return _weak_upper(*args), _weak_achievable(*args)
+    h = _entropies(params)
+    return _weak_upper(h, params), _weak_achievable(h, params)
 
 
 def gap_and_bound(params: WiretapParams) -> tuple[float, float]:
@@ -139,17 +159,14 @@ def gap_and_bound(params: WiretapParams) -> tuple[float, float]:
         raise ValueError("the gap is defined for p1s <= p2")
     if params.q1 < params.q1s:
         raise ValueError("the gap is defined for q1 >= q1s")
-    spread = binary_entropy(params.p2) - binary_entropy(params.p1s)
-    return params.q1s * params.q2 * spread, 0.25 * spread
+    return _gap(binary_entropy(params.p2), binary_entropy(params.p1s), params)
 
 
 def eve_ergodic_capacity(params: WiretapParams) -> float:
     """Ergodic capacity of the eavesdropper's fading channel,
     ``q1s (1 - H(p1s)) + q2s (1 - H(p2s))``.  This is the randomness rate the
     scheme must spend to saturate the eavesdropper's observation."""
-    h1s = binary_entropy(params.p1s)
-    h2s = binary_entropy(params.p2s)
-    return params.q1s * (1.0 - h1s) + params.q2s * (1.0 - h2s)
+    return _eve_capacity(binary_entropy(params.p1s), binary_entropy(params.p2s), params)
 
 
 @dataclass(frozen=True)
@@ -173,10 +190,9 @@ def fano_leakage_bound(
     """Bound the per-frame message leakage from the genie-aided eavesdropper's
     failure rate at recovering all random bits."""
     eve_fer = _check_prob("eve_fer", eve_fer)
-    if random_bit_count < 0:
-        raise ValueError("random_bit_count must be nonnegative")
-    if n < 1 or b < 1:
-        raise ValueError("n and b must be positive")
+    for name, v, least in (("random_bit_count", random_bit_count, 0), ("n", n, 1), ("b", b, 1)):
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < least:
+            raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
     total = eve_fer * float(random_bit_count) + binary_entropy(eve_fer)
     return LeakageBound(
         bound_bits_total=total,
@@ -217,21 +233,23 @@ class RateReport:
 
 def rate_report(params: WiretapParams) -> RateReport:
     """Evaluate the applicable bounds for ``params`` and report them."""
+    # the tag settles the coupling and ordering checks of the public
+    # formulas, so the helpers share one evaluation of the four entropies
     tag = classify_scenario(params)
-    eve_cap = eve_ergodic_capacity(params)
+    h = _entropies(params)
+    _, h2, h1s, h2s = h
+    eve_cap = _eve_capacity(h1s, h2s, params)
     if tag in (ScenarioTag.SIM_A, ScenarioTag.SIM_B):
-        c = secrecy_capacity_simultaneous(params)
+        c = _sim_capacity(h, params)
         return RateReport(tag, c, c, True, 0.0, 0.0, eve_cap)
     if tag is ScenarioTag.IND_STRONG:
-        c = capacity_independent_strong(params)
+        c = _ind_strong_capacity(h, params)
         return RateReport(tag, c, c, True, 0.0, 0.0, eve_cap)
+    upper = _weak_upper(h, params)
     if tag is ScenarioTag.UNSUPPORTED:
-        upper = _weak_upper(
-            params.p1, params.p2, params.p1s, params.p2s, params.q1, params.q1s
-        )
         return RateReport(tag, upper, None, False, None, None, eve_cap)
-    upper, achievable = bounds_independent_weak(params)
-    gap, gap_upper = gap_and_bound(params)
+    achievable = _weak_achievable(h, params)
+    gap, gap_upper = _gap(h2, h1s, params)
     return RateReport(tag, upper, achievable, gap <= _CAPACITY_TOL, gap, gap_upper, eve_cap)
 
 
@@ -240,11 +258,10 @@ def _coeff(q1: float, q1s: float) -> float:
     return q1s * (1.0 - q1) if q1 >= q1s else 0.0
 
 
-def _upper(p2: float, p1s: float) -> float:
-    # zero-filled outside p1s <= p2, matching the surface convention
-    if p1s > p2:
-        return 0.0
-    return 0.25 * (binary_entropy(p2) - binary_entropy(p1s))
+def _upper(p2: float, p1s: float, h2: float, h1s: float) -> float:
+    # 0.25 (H(p2) - H(p1s)), zero-filled outside p1s <= p2, matching the
+    # surface convention
+    return 0.0 if p1s > p2 else 0.25 * (h2 - h1s)
 
 
 def sweep_gap_surface(
@@ -266,37 +283,41 @@ def sweep_gap_surface(
     Points outside the supported wedge carry zeros.  Rows are emitted with
     the first swept variable outermost, both ascending.
     """
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)):
+        raise ValueError(f"steps must be an integer, got {steps!r}")
     if steps < 2:
-        raise ValueError("need at least a 2x2 grid")
+        raise ValueError(f"steps must be at least 2 (a 2x2 grid), got {steps!r}")
     rows: list[dict] = []
     if surface == "gap-coeff":
-        grid = np.arange(steps, dtype=np.float64) / float(steps)
-        upper_const = _upper(_check_prob("p2", p2, 0.5), _check_prob("p1s", p1s, 0.5))
+        grid = (np.arange(steps, dtype=np.float64) / float(steps)).tolist()
+        p2, p1s = _check_prob("p2", p2, 0.5), _check_prob("p1s", p1s, 0.5)
+        upper_const = _upper(p2, p1s, binary_entropy(p2), binary_entropy(p1s))
         for g1 in grid:
             for g1s in grid:
                 rows.append(
                     {
-                        "q1": float(g1),
-                        "q1s": float(g1s),
-                        "p2": float(p2),
-                        "p1s": float(p1s),
-                        "gap_coeff": _coeff(float(g1), float(g1s)),
+                        "q1": g1,
+                        "q1s": g1s,
+                        "p2": p2,
+                        "p1s": p1s,
+                        "gap_coeff": _coeff(g1, g1s),
                         "gap_upper": upper_const,
                     }
                 )
     elif surface == "gap-upper":
-        grid = np.linspace(0.0, 0.5, steps)
+        grid = np.linspace(0.0, 0.5, steps).tolist()
+        h = [binary_entropy(v) for v in grid]
         coeff_const = _coeff(_check_prob("q1", q1), _check_prob("q1s", q1s))
-        for v2 in grid:
-            for v1s in grid:
+        for v2, h2 in zip(grid, h):
+            for v1s, h1s in zip(grid, h):
                 rows.append(
                     {
                         "q1": float(q1),
                         "q1s": float(q1s),
-                        "p2": float(v2),
-                        "p1s": float(v1s),
+                        "p2": v2,
+                        "p1s": v1s,
                         "gap_coeff": coeff_const,
-                        "gap_upper": _upper(float(v2), float(v1s)),
+                        "gap_upper": _upper(v2, v1s, h2, h1s),
                     }
                 )
     else:

@@ -214,16 +214,20 @@ def test_criterion_05_noiseless_roundtrips():
     rng = np.random.default_rng(55)
     for params in scenarios:
         code = build_code(params, 256, 32)
+        msgs, rnds, frames, traces = [], [], [], []
         for _ in range(100):
-            msg = MessageBundle.random(code, rng)
-            rnd = RandomBundle.random(code, rng)
-            frame = encode(code, msg, rnd)
-            obs = np.where(frame, -np.inf, np.inf)
-            trace = sample_fading(params, 32, rng)
-            msg_hat, rnd_hat, status = bob_decode(code, obs, trace)
+            msgs.append(MessageBundle.random(code, rng))
+            rnds.append(RandomBundle.random(code, rng))
+            frames.append(encode(code, msgs[-1], rnds[-1]))
+            traces.append(sample_fading(params, 32, rng))
+        # the 100 frames decode as one stack per receiver
+        obs = np.where(np.stack(frames), -np.inf, np.inf)
+        bob = bob_decode(code, obs, traces)
+        eve = eve_genie_decode(code, obs, traces, msgs)
+        assert len(bob) == len(eve) == 100
+        for msg, rnd, (msg_hat, rnd_hat, status), (rnd_eve, eve_status) in zip(msgs, rnds, bob, eve):
             assert status.ok
             assert msg_hat.same_bits(msg) and rnd_hat.same_bits(rnd)
-            rnd_eve, eve_status = eve_genie_decode(code, obs, trace, msg)
             assert eve_status.ok and rnd_eve.same_bits(rnd)
     assert time.perf_counter() - started < 60.0
 

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from hierpolar import (
@@ -65,9 +67,38 @@ def test_entropy_domain_checked():
         binary_entropy(-0.1)
     with pytest.raises(ValueError):
         binary_entropy(np.array([0.2, 1.3]))
-    for nan in (float("nan"), np.nan, np.array([0.2, np.nan]), np.array(np.nan)):
+    for bad in (
+        float("nan"),
+        np.nan,
+        np.float64("nan"),
+        np.array([0.2, np.nan]),
+        np.array(np.nan),
+        float("inf"),
+        -float("inf"),
+        np.float64(1.5),
+    ):
         with pytest.raises(ValueError, match="domain"):
-            binary_entropy(nan)
+            binary_entropy(bad)
+
+
+def via_array(p) -> float:
+    # the array path's value at p
+    return float(binary_entropy(np.array([p]))[0])
+
+
+@settings(max_examples=400)
+@given(st.floats(0.0, 1.0))
+@example(0.0)
+@example(1.0)
+@example(0.5)
+@example(5e-324)
+@example(2.0**-1022)
+@example(1.0 - 2.0**-53)
+def test_entropy_float_path_equals_array_path_bit_for_bit(p):
+    for v in (p, np.float64(p)):
+        got = binary_entropy(v)
+        assert type(got) is float
+        assert got.hex() == via_array(p).hex()
 
 
 def test_sim_capacity_trivial_points():
@@ -235,6 +266,26 @@ def test_fano_bound_validation():
         fano_leakage_bound(0.1, 10, 0, 2)
 
 
+def test_fano_bound_requires_integer_counts():
+    cases = (
+        ((0.1, 2.7, 4, 2), "random_bit_count"),
+        ((0.1, True, 4, 2), "random_bit_count"),
+        ((0.1, -1, 4, 2), "random_bit_count"),
+        ((0.1, 10, 4.5, 2), "n"),
+        ((0.1, 10, 4.0, 2), "n"),
+        ((0.1, 10, 0, 2), "n"),
+        ((0.1, 10, 4, True), "b"),
+        ((0.1, 10, 4, "2"), "b"),
+        ((0.1, 10, 4, 0), "b"),
+    )
+    for args, name in cases:
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer"):
+            fano_leakage_bound(*args)
+    lb = fano_leakage_bound(0.1, np.int64(10), np.int64(4), np.int64(2))
+    assert lb == fano_leakage_bound(0.1, 10, 4, 2)
+    assert type(lb.random_bit_count) is int
+
+
 def test_rate_report_established_scenarios():
     sim = rate_report(WiretapParams(q1=0.5, **FIX))
     assert sim.scenario is ScenarioTag.SIM_A
@@ -319,3 +370,27 @@ def test_sweep_rejects_bad_arguments():
         sweep_gap_surface("gap-coeff", 1)
     with pytest.raises(ValueError):
         sweep_gap_surface("side-channel", 10)
+
+
+def test_sweep_upper_rows_equal_pointwise_formula():
+    steps = 13
+    rows = sweep_gap_surface("gap-upper", steps, q1=0.7, q1s=0.2)
+    grid = [float(v) for v in np.linspace(0.0, 0.5, steps)]
+    points = [(v2, v1s) for v2 in grid for v1s in grid]
+    assert [(r["p2"], r["p1s"]) for r in rows] == points
+    want = [
+        0.0 if v1s > v2 else 0.25 * (binary_entropy(v2) - binary_entropy(v1s))
+        for v2, v1s in points
+    ]
+    assert [r["gap_upper"].hex() for r in rows] == [w.hex() for w in want]
+    assert all(r["gap_coeff"] == 0.2 * (1.0 - 0.7) for r in rows)
+
+
+@pytest.mark.parametrize("surface", ["gap-coeff", "gap-upper"])
+def test_sweep_rejects_non_integer_steps(surface):
+    for steps in (3.5, 4.0, True, False, "4", None):
+        with pytest.raises(ValueError, match="^steps must be an integer"):
+            sweep_gap_surface(surface, steps)
+    with pytest.raises(ValueError, match="^steps must be at least 2"):
+        sweep_gap_surface(surface, 1)
+    assert sweep_gap_surface(surface, np.int64(3)) == sweep_gap_surface(surface, 3)
