@@ -5,129 +5,20 @@ cancellation), :mod:`hierpolar.channels` (channel laws, fading, scenarios),
 :mod:`hierpolar.rates` (closed-form secrecy rates and leakage bounds),
 :mod:`hierpolar.scheme` (code construction, two-phase encoder, both
 decoders), :mod:`hierpolar.sim` (Monte Carlo harness, exact toy leakage) and
-:mod:`hierpolar.cli`.
+:mod:`hierpolar.cli`.  The package exports each layer's ``__all__`` and
+``cli_dispatch``.
 """
 
-from .channels import (
-    ChannelLaw,
-    FadingTrace,
-    ScenarioTag,
-    UnsupportedScenarioError,
-    WiretapParams,
-    bec,
-    bsc,
-    classify_scenario,
-    sample_fading,
-    transmit,
-)
-from .polar import (
-    ReliabilityProfile,
-    bit_reversal_permutation,
-    polar_transform,
-    polar_transform_inverse,
-    reliability_profile,
-    sc_decode_batch,
-    select_good_set,
-)
-from .rates import (
-    LeakageBound,
-    RateReport,
-    binary_entropy,
-    bounds_independent_weak,
-    capacity_independent_strong,
-    eve_ergodic_capacity,
-    fano_leakage_bound,
-    gap_and_bound,
-    rate_report,
-    secrecy_capacity_simultaneous,
-    sweep_gap_surface,
-)
-from .scheme import (
-    ConstructionInfeasibleError,
-    DecodeStatus,
-    HierarchicalCode,
-    IndexPartition,
-    MessageBundle,
-    RandomBundle,
-    bob_decode,
-    build_code,
-    build_partition,
-    bundle_shapes,
-    designed_rate,
-    encode,
-    eve_genie_decode,
-    target_fractions,
-    total_message_bits,
-    total_random_bits,
-)
-from .sim import (
-    SimConfig,
-    SummaryReport,
-    TrialRecord,
-    derive_trial_seed,
-    exact_leakage_toy,
-    run_simulation,
-    toy_code,
-    wilson_interval,
-    write_trials,
-)
+from . import channels, polar, rates, scheme, sim
+from .channels import *  # noqa: F403
+from .polar import *  # noqa: F403
+from .rates import *  # noqa: F403
+from .scheme import *  # noqa: F403
+from .sim import *  # noqa: F403
 from .cli import cli_dispatch
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ChannelLaw",
-    "ConstructionInfeasibleError",
-    "DecodeStatus",
-    "FadingTrace",
-    "HierarchicalCode",
-    "IndexPartition",
-    "LeakageBound",
-    "MessageBundle",
-    "RandomBundle",
-    "RateReport",
-    "ReliabilityProfile",
-    "ScenarioTag",
-    "SimConfig",
-    "SummaryReport",
-    "TrialRecord",
-    "UnsupportedScenarioError",
-    "WiretapParams",
-    "bec",
-    "binary_entropy",
-    "bit_reversal_permutation",
-    "bob_decode",
-    "bounds_independent_weak",
-    "bsc",
-    "build_code",
-    "build_partition",
-    "bundle_shapes",
-    "capacity_independent_strong",
-    "classify_scenario",
-    "cli_dispatch",
-    "derive_trial_seed",
-    "designed_rate",
-    "encode",
-    "eve_ergodic_capacity",
-    "eve_genie_decode",
-    "exact_leakage_toy",
-    "fano_leakage_bound",
-    "gap_and_bound",
-    "polar_transform",
-    "polar_transform_inverse",
-    "rate_report",
-    "reliability_profile",
-    "run_simulation",
-    "sample_fading",
-    "sc_decode_batch",
-    "secrecy_capacity_simultaneous",
-    "select_good_set",
-    "sweep_gap_surface",
-    "target_fractions",
-    "total_message_bits",
-    "total_random_bits",
-    "toy_code",
-    "transmit",
-    "wilson_interval",
-    "write_trials",
-]
+__all__ = sorted(
+    [*channels.__all__, *polar.__all__, *rates.__all__, *scheme.__all__, *sim.__all__, "cli_dispatch"]
+)

@@ -29,7 +29,7 @@ from .scheme import (
     total_message_bits,
     total_random_bits,
 )
-from .sim import SimConfig, exact_leakage_toy, run_simulation, toy_code, write_trials
+from .sim import TRIAL_FORMATS, SimConfig, exact_leakage_toy, run_simulation, toy_code, write_trials
 
 __all__ = ["cli_dispatch", "main"]
 
@@ -163,7 +163,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--trials", type=int, help="number of frames (default 100)")
     p_sim.add_argument("--seed", type=int, help="master seed (default 1)")
     p_sim.add_argument("--out", help="write per-trial records to this file")
-    p_sim.add_argument("--format", choices=("ndjson", "csv"), help="trial record format (default ndjson)")
+    p_sim.add_argument("--format", choices=TRIAL_FORMATS, help="trial record format (default ndjson)")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_sweep = sub.add_parser("sweep", help="gap surfaces over parameter grids")
@@ -198,22 +198,21 @@ def _cmd_rates(args: argparse.Namespace, cfg: dict) -> int:
     return 0
 
 
-def _code_from(args: argparse.Namespace, cfg: dict):
-    params = _params_from(args, cfg)
+def _code_args(args: argparse.Namespace, cfg: dict) -> dict:
+    """Frame size and construction settings, as ``build_code`` keywords."""
     n = int(_require(_pick(args, cfg, "n"), "--n"))
     b = _pick(args, cfg, "b")
-    return build_code(
-        params,
-        n,
-        int(b) if b is not None else None,
-        float(_pick(args, cfg, "delta", 0.25)),
-        str(_pick(args, cfg, "construction", "bhattacharyya-bound")),
-        construction_trials=int(_pick(args, cfg, "construction_trials", 2048)),
-    )
+    return {
+        "n": n,
+        "b": int(b) if b is not None else max(2, n // 8),
+        "delta": float(_pick(args, cfg, "delta", 0.25)),
+        "construction": str(_pick(args, cfg, "construction", "bhattacharyya-bound")),
+        "construction_trials": int(_pick(args, cfg, "construction_trials", 2048)),
+    }
 
 
 def _cmd_construct(args: argparse.Namespace, cfg: dict) -> int:
-    code = _code_from(args, cfg)
+    code = build_code(_params_from(args, cfg), **_code_args(args, cfg))
     sizes = code.partition.sizes()
     fractions = {
         k: (v / code.b if k.startswith("bec_") else v / code.n) for k, v in sizes.items()
@@ -237,23 +236,19 @@ def _cmd_construct(args: argparse.Namespace, cfg: dict) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace, cfg: dict) -> int:
-    params = _params_from(args, cfg)
-    n = int(_require(_pick(args, cfg, "n"), "--n"))
-    b = _pick(args, cfg, "b")
     config = SimConfig(
-        params=params,
-        n=n,
-        b=int(b) if b is not None else max(2, n // 8),
+        params=_params_from(args, cfg),
+        **_code_args(args, cfg),
         trials=int(_pick(args, cfg, "trials", 100)),
         seed=int(_pick(args, cfg, "seed", 1)),
-        delta=float(_pick(args, cfg, "delta", 0.25)),
-        construction=str(_pick(args, cfg, "construction", "bhattacharyya-bound")),
-        construction_trials=int(_pick(args, cfg, "construction_trials", 2048)),
     )
+    # a config file bypasses argparse's choices; check before any trial runs
+    fmt = str(_pick(args, cfg, "format", "ndjson"))
+    if fmt not in TRIAL_FORMATS:
+        raise CliError(f"format must be one of {TRIAL_FORMATS}, got {fmt!r}")
     report, records = run_simulation(config)
     out = getattr(args, "out", None)
     if out:
-        fmt = str(_pick(args, cfg, "format", "ndjson"))
         with open(out, "w", encoding="utf-8", newline="") as fh:
             write_trials(records, fh, fmt)
     # timing goes to stderr so repeat runs stay byte-identical on stdout

@@ -69,7 +69,6 @@ __all__ = [
     "RandomBundle",
     "bob_decode",
     "build_code",
-    "build_partition",
     "bundle_shapes",
     "designed_rate",
     "encode",
@@ -81,7 +80,38 @@ __all__ = [
 
 CONSTRUCTIONS = ("bhattacharyya-bound", "genie-mc")
 
-_STRONG_LAYOUT = (ScenarioTag.SIM_A, ScenarioTag.IND_STRONG)
+# the six per-block position classes, in field order
+CLASSES = (
+    "block_random",
+    "crossblock_secret",
+    "perblock_message",
+    "crossblock_message",
+    "crossblock_random",
+    "frozen",
+)
+
+# the reliability chain of each layout, most exclusive flip law first, with
+# the class that law's good set adds to the one before it; positions outside
+# the last good set are frozen.  The strong ordering (p2 <= p1s) nests
+# p2s < p1s < p2 < p1, the interleaved one p2s < p2 < p1s < p1.
+_STRONG = (
+    ("p2s", "block_random"),
+    ("p1s", "crossblock_secret"),
+    ("p2", "perblock_message"),
+    ("p1", "crossblock_message"),
+)
+_INTERLEAVED = (
+    ("p2s", "block_random"),
+    ("p2", "crossblock_secret"),
+    ("p1s", "crossblock_random"),
+    ("p1", "crossblock_message"),
+)
+_LAYOUTS = {
+    ScenarioTag.SIM_A: _STRONG,
+    ScenarioTag.IND_STRONG: _STRONG,
+    ScenarioTag.SIM_B: _INTERLEAVED,
+    ScenarioTag.IND_WEAK: _INTERLEAVED,
+}
 
 
 class ConstructionInfeasibleError(Exception):
@@ -106,31 +136,13 @@ class IndexPartition:
     delta: float
 
     def __post_init__(self) -> None:
-        classes = [
-            self.block_random,
-            self.crossblock_secret,
-            self.perblock_message,
-            self.crossblock_message,
-            self.crossblock_random,
-            self.frozen,
-        ]
-        norm = [np.unique(np.asarray(c, dtype=np.int64)) for c in classes]
-        total = np.concatenate(norm) if norm else np.empty(0, np.int64)
+        norm = {name: np.unique(np.asarray(getattr(self, name), dtype=np.int64)) for name in CLASSES}
+        total = np.concatenate(list(norm.values()))
         if total.size != self.n or np.unique(total).size != self.n:
             raise ValueError("classes must partition the n per-block positions")
         if total.size and (total.min() < 0 or total.max() >= self.n):
             raise ValueError("class indices out of range")
-        for name, arr in zip(
-            (
-                "block_random",
-                "crossblock_secret",
-                "perblock_message",
-                "crossblock_message",
-                "crossblock_random",
-                "frozen",
-            ),
-            norm,
-        ):
+        for name, arr in norm.items():
             object.__setattr__(self, name, arr)
         for name in ("bec_info_main", "bec_info_eve"):
             arr = np.unique(np.asarray(getattr(self, name), dtype=np.int64))
@@ -141,16 +153,8 @@ class IndexPartition:
             raise ValueError("delta must lie in (0, 1)")
 
     def sizes(self) -> dict:
-        return {
-            "block_random": int(self.block_random.size),
-            "crossblock_secret": int(self.crossblock_secret.size),
-            "perblock_message": int(self.perblock_message.size),
-            "crossblock_message": int(self.crossblock_message.size),
-            "crossblock_random": int(self.crossblock_random.size),
-            "frozen": int(self.frozen.size),
-            "bec_info_main": int(self.bec_info_main.size),
-            "bec_info_eve": int(self.bec_info_eve.size),
-        }
+        fields = CLASSES + ("bec_info_main", "bec_info_eve")
+        return {name: int(getattr(self, name).size) for name in fields}
 
 
 @dataclass(frozen=True)
@@ -205,7 +209,7 @@ class HierarchicalCode:
         return np.empty(0, dtype=np.int64)
 
 
-def build_partition(
+def build_code(
     params: WiretapParams,
     n: int,
     b: int | None = None,
@@ -214,17 +218,18 @@ def build_partition(
     *,
     construction_trials: int = 2048,
     rng: np.random.Generator | None = None,
-) -> IndexPartition:
-    """Construct the index partition for ``params`` at block length ``n`` with
-    ``b`` blocks per frame (default n/8).
+) -> HierarchicalCode:
+    """Classify the scenario of ``params`` and build its code at block length
+    ``n`` with ``b`` blocks per frame (default n/8).
 
     Per-block classes come from good-set differences of the four flip laws at
-    the single threshold ``delta / (2n)``.  The cross-block erasure codes use
-    exact erasure-probability profiles at threshold ``delta / (2b)`` with the
-    design erasure rate inflated by ``(1 + delta)`` as the reliability margin.
-    ``construction`` picks the flip-law profile method: the Bhattacharyya
-    bound recursion (conservative, deterministically nested) or genie-aided
-    Monte Carlo (tighter rates; nesting is enforced by intersecting down the
+    the single threshold ``delta / (2n)``, along the scenario's layout.  The
+    cross-block erasure codes use exact erasure-probability profiles at
+    threshold ``delta / (2b)`` with the design erasure rate inflated by
+    ``(1 + delta)`` as the reliability margin.  ``construction`` picks the
+    flip-law profile method: the Bhattacharyya bound recursion
+    (conservative, deterministically nested) or genie-aided Monte Carlo
+    (tighter rates; nesting is enforced by intersecting down the
     reliability chain).
     """
     n = _require_block_length(n, "n (block length)")
@@ -250,33 +255,22 @@ def build_partition(
         )
         masks[name] = prof.z <= t_block
 
-    strong = tag in _STRONG_LAYOUT
-    # reliability chain, most exclusive first
-    chain = ("p2s", "p1s", "p2", "p1") if strong else ("p2s", "p2", "p1s", "p1")
-    if construction == "genie-mc":
-        # Monte Carlo estimates need not nest; intersect down the chain
-        for outer, inner in zip(chain[::-1], chain[-2::-1]):
-            masks[inner] &= masks[outer]
+    layout = _LAYOUTS[tag]
+    chain = [law for law, _ in layout]
+    # the good sets must nest down the chain; Monte Carlo estimates need not,
+    # so genie-mc intersects them first, outermost law first
     for outer, inner in zip(chain[::-1], chain[-2::-1]):
+        if construction == "genie-mc":
+            masks[inner] &= masks[outer]
         if (masks[inner] & ~masks[outer]).any():
             raise ConstructionInfeasibleError("good sets failed to nest")
 
-    def idx(mask: np.ndarray) -> np.ndarray:
-        return np.nonzero(mask)[0].astype(np.int64)
-
-    if strong:
-        block_random = idx(masks["p2s"])
-        crossblock_secret = idx(masks["p1s"] & ~masks["p2s"])
-        perblock_message = idx(masks["p2"] & ~masks["p1s"])
-        crossblock_message = idx(masks["p1"] & ~masks["p2"])
-        crossblock_random = np.empty(0, dtype=np.int64)
-    else:
-        block_random = idx(masks["p2s"])
-        crossblock_secret = idx(masks["p2"] & ~masks["p2s"])
-        crossblock_random = idx(masks["p1s"] & ~masks["p2"])
-        crossblock_message = idx(masks["p1"] & ~masks["p1s"])
-        perblock_message = np.empty(0, dtype=np.int64)
-    frozen = idx(~masks["p1"])
+    classes = dict.fromkeys(CLASSES, np.empty(0, dtype=np.int64))
+    held = np.zeros(n, dtype=bool)
+    for law, name in layout:
+        classes[name] = np.nonzero(masks[law] & ~held)[0]
+        held = masks[law]
+    classes["frozen"] = np.nonzero(~held)[0]
 
     t_row = delta / (2.0 * b)
     q_main = min(1.0, params.q2 * (1.0 + delta))
@@ -293,46 +287,11 @@ def build_partition(
             "eavesdropper erasure-code information set escapes the main one"
         )
 
-    return IndexPartition(
-        n=n,
-        b=b,
-        block_random=block_random,
-        crossblock_secret=crossblock_secret,
-        perblock_message=perblock_message,
-        crossblock_message=crossblock_message,
-        crossblock_random=crossblock_random,
-        frozen=frozen,
-        bec_info_main=info_main,
-        bec_info_eve=info_eve,
-        delta=delta,
-    )
-
-
-def build_code(
-    params: WiretapParams,
-    n: int,
-    b: int | None = None,
-    delta: float = 0.25,
-    construction: str = "bhattacharyya-bound",
-    *,
-    construction_trials: int = 2048,
-    rng: np.random.Generator | None = None,
-) -> HierarchicalCode:
-    """Classify the scenario and build the matching partition."""
-    partition = build_partition(
-        params,
-        n,
-        b,
-        delta,
-        construction,
-        construction_trials=construction_trials,
-        rng=rng,
+    partition = IndexPartition(
+        n=n, b=b, **classes, bec_info_main=info_main, bec_info_eve=info_eve, delta=delta
     )
     return HierarchicalCode(
-        params=params,
-        scenario=classify_scenario(params),
-        partition=partition,
-        construction=construction,
+        params=params, scenario=tag, partition=partition, construction=construction
     )
 
 
@@ -363,6 +322,37 @@ class _Bundle:
     """Shared helpers for bit bundles stored as dicts of uint8 arrays."""
 
     _fields: tuple[str, ...] = ()
+    _half: int  # which of bundle_shapes' two dicts describes the bundle
+
+    @classmethod
+    def _shapes(cls, code: HierarchicalCode) -> dict:
+        return bundle_shapes(code)[cls._half]
+
+    @classmethod
+    def _bit_count(cls, code: HierarchicalCode) -> int:
+        return int(sum(int(np.prod(s)) for s in cls._shapes(code).values()))
+
+    @classmethod
+    def random(cls, code: HierarchicalCode, rng: np.random.Generator):
+        shapes = cls._shapes(code)
+        return cls(**{k: rng.integers(0, 2, size=v, dtype=np.uint8) for k, v in shapes.items()})
+
+    @classmethod
+    def zeros(cls, code: HierarchicalCode):
+        return cls(**{k: np.zeros(v, dtype=np.uint8) for k, v in cls._shapes(code).items()})
+
+    @classmethod
+    def from_flat(cls, code: HierarchicalCode, flat: np.ndarray):
+        flat = _as_bits(flat).reshape(-1)
+        out = {}
+        pos = 0
+        for k, shp in cls._shapes(code).items():
+            count = int(np.prod(shp))
+            out[k] = flat[pos : pos + count].reshape(shp).astype(np.uint8)
+            pos += count
+        if pos != flat.size:
+            raise ValueError("flat bit vector length does not match bundle shapes")
+        return cls(**out)
 
     def _arrays(self) -> list[np.ndarray]:
         return [getattr(self, f) for f in self._fields]
@@ -391,21 +381,7 @@ class MessageBundle(_Bundle):
     crossblock_random_extra: np.ndarray
 
     _fields = ("crossblock_secret", "crossblock_message", "per_block", "crossblock_random_extra")
-
-    @classmethod
-    def random(cls, code: HierarchicalCode, rng: np.random.Generator) -> "MessageBundle":
-        shapes, _ = bundle_shapes(code)
-        return cls(**{k: rng.integers(0, 2, size=v, dtype=np.uint8) for k, v in shapes.items()})
-
-    @classmethod
-    def zeros(cls, code: HierarchicalCode) -> "MessageBundle":
-        shapes, _ = bundle_shapes(code)
-        return cls(**{k: np.zeros(v, dtype=np.uint8) for k, v in shapes.items()})
-
-    @classmethod
-    def from_flat(cls, code: HierarchicalCode, flat: np.ndarray) -> "MessageBundle":
-        shapes, _ = bundle_shapes(code)
-        return cls(**_unflatten(flat, shapes))
+    _half = 0
 
 
 @dataclass(frozen=True)
@@ -417,44 +393,15 @@ class RandomBundle(_Bundle):
     crossblock_random: np.ndarray
 
     _fields = ("crossblock_secret", "block_random", "crossblock_random")
-
-    @classmethod
-    def random(cls, code: HierarchicalCode, rng: np.random.Generator) -> "RandomBundle":
-        _, shapes = bundle_shapes(code)
-        return cls(**{k: rng.integers(0, 2, size=v, dtype=np.uint8) for k, v in shapes.items()})
-
-    @classmethod
-    def zeros(cls, code: HierarchicalCode) -> "RandomBundle":
-        _, shapes = bundle_shapes(code)
-        return cls(**{k: np.zeros(v, dtype=np.uint8) for k, v in shapes.items()})
-
-    @classmethod
-    def from_flat(cls, code: HierarchicalCode, flat: np.ndarray) -> "RandomBundle":
-        _, shapes = bundle_shapes(code)
-        return cls(**_unflatten(flat, shapes))
-
-
-def _unflatten(flat: np.ndarray, shapes: dict) -> dict:
-    flat = _as_bits(flat).reshape(-1)
-    out = {}
-    pos = 0
-    for k, shp in shapes.items():
-        count = int(np.prod(shp))
-        out[k] = flat[pos : pos + count].reshape(shp).astype(np.uint8)
-        pos += count
-    if pos != flat.size:
-        raise ValueError("flat bit vector length does not match bundle shapes")
-    return out
+    _half = 1
 
 
 def total_message_bits(code: HierarchicalCode) -> int:
-    shapes, _ = bundle_shapes(code)
-    return int(sum(int(np.prod(s)) for s in shapes.values()))
+    return MessageBundle._bit_count(code)
 
 
 def total_random_bits(code: HierarchicalCode) -> int:
-    _, shapes = bundle_shapes(code)
-    return int(sum(int(np.prod(s)) for s in shapes.values()))
+    return RandomBundle._bit_count(code)
 
 
 def designed_rate(code: HierarchicalCode) -> float:
@@ -778,27 +725,14 @@ def target_fractions(params: WiretapParams) -> dict:
     tag = classify_scenario(params)
     if tag is ScenarioTag.UNSUPPORTED:
         raise UnsupportedScenarioError("no partition targets in the unsupported regime")
-    h1, h2, h1s, h2s = (
-        binary_entropy(v) for v in (params.p1, params.p2, params.p1s, params.p2s)
-    )
-    if tag in _STRONG_LAYOUT:
-        parts = {
-            "block_random": 1.0 - h2s,
-            "crossblock_secret": h2s - h1s,
-            "perblock_message": h1s - h2,
-            "crossblock_message": h2 - h1,
-            "crossblock_random": 0.0,
-            "frozen": h1,
-        }
-    else:
-        parts = {
-            "block_random": 1.0 - h2s,
-            "crossblock_secret": h2s - h2,
-            "crossblock_random": h2 - h1s,
-            "crossblock_message": h1s - h1,
-            "perblock_message": 0.0,
-            "frozen": h1,
-        }
+    # each class takes the entropy gap between its law and the one before it
+    parts = dict.fromkeys(CLASSES, 0.0)
+    held = 1.0
+    for law, name in _LAYOUTS[tag]:
+        h = binary_entropy(getattr(params, law))
+        parts[name] = held - h
+        held = h
+    parts["frozen"] = held
     parts["bec_info_main"] = params.q1
     parts["bec_info_eve"] = params.q1s
     return parts

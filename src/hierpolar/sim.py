@@ -30,16 +30,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import WiretapParams, bsc, sample_fading, transmit
+from .channels import WiretapParams, bsc, classify_scenario, sample_fading, transmit
 from .rates import LeakageBound, fano_leakage_bound, rate_report
 from .scheme import (
+    CLASSES,
     HierarchicalCode,
     IndexPartition,
     MessageBundle,
     RandomBundle,
     bob_decode,
     build_code,
-    bundle_shapes,
     designed_rate,
     encode,
     eve_genie_decode,
@@ -65,6 +65,8 @@ _CHUNK_LLRS = 1 << 18
 # serialized field order is part of the output contract
 TRIAL_FIELDS = ("trial", "seed", "main_superior", "eve_superior", "bob_ok", "bob_bit_errors", "eve_ok")
 
+TRIAL_FORMATS = ("ndjson", "csv")
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -80,6 +82,11 @@ class SimConfig:
     construction_trials: int = 2048
 
     def __post_init__(self) -> None:
+        for name in ("n", "b", "trials", "seed"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+            object.__setattr__(self, name, int(v))
         if self.trials < 1:
             raise ValueError("trials must be positive")
         if self.b < 2:
@@ -246,8 +253,12 @@ def run_simulation(
             config.construction,
             construction_trials=config.construction_trials,
         )
-    elif code.n != config.n or code.b != config.b:
-        raise ValueError("supplied code does not match the configured frame size")
+    else:
+        P = code.partition
+        built = dict(params=code.params, n=P.n, b=P.b, delta=P.delta, construction=code.construction)
+        wrong = [k for k, v in built.items() if getattr(config, k) != v]
+        if wrong:
+            raise ValueError(f"supplied code does not match the configured {', '.join(wrong)}")
 
     chunk = max(1, _CHUNK_LLRS // (code.b * code.n))
     llr = np.empty((min(chunk, config.trials), code.b, code.n))
@@ -340,21 +351,15 @@ def toy_code(variant: str) -> HierarchicalCode:
 def _manual_toy(
     params: WiretapParams, block_random: tuple, perblock_message: tuple, n: int = 4, b: int = 2
 ) -> HierarchicalCode:
-    from .channels import classify_scenario
-
-    empty = np.empty(0, dtype=np.int64)
-    used = np.concatenate(
-        [np.asarray(block_random, dtype=np.int64), np.asarray(perblock_message, dtype=np.int64)]
-    )
+    classes = dict.fromkeys(CLASSES, np.empty(0, dtype=np.int64))
+    classes["block_random"] = np.asarray(block_random, dtype=np.int64)
+    classes["perblock_message"] = np.asarray(perblock_message, dtype=np.int64)
+    used = np.concatenate([classes["block_random"], classes["perblock_message"]])
+    classes["frozen"] = np.setdiff1d(np.arange(n), used)
     partition = IndexPartition(
         n=n,
         b=b,
-        block_random=np.asarray(block_random, dtype=np.int64),
-        crossblock_secret=empty,
-        perblock_message=np.asarray(perblock_message, dtype=np.int64),
-        crossblock_message=empty,
-        crossblock_random=empty,
-        frozen=np.setdiff1d(np.arange(n), used).astype(np.int64),
+        **classes,
         bec_info_main=np.arange(b, dtype=np.int64),
         bec_info_eve=np.arange(b, dtype=np.int64),
         delta=0.25,
@@ -396,9 +401,8 @@ def exact_leakage_toy(code: HierarchicalCode) -> float:
     n, b = code.n, code.b
     params = code.params
     nb = n * b
-    msg_shapes, rnd_shapes = bundle_shapes(code)
-    k_m = int(sum(int(np.prod(s)) for s in msg_shapes.values()))
-    k_r = int(sum(int(np.prod(s)) for s in rnd_shapes.values()))
+    k_m = total_message_bits(code)
+    k_r = total_random_bits(code)
 
     q_sup = params.q1s if params.coupling == "independent" else params.q1
     n_states = 1 << b

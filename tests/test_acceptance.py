@@ -27,7 +27,6 @@ from hierpolar import (
     bounds_independent_weak,
     bsc,
     build_code,
-    build_partition,
     capacity_independent_strong,
     designed_rate,
     encode,
@@ -322,7 +321,7 @@ def test_criterion_08_partition_fractions():
     """
     started = time.perf_counter()
     n, delta = 1 << 12, 0.1
-    part = build_partition(FIXTURE, n, delta=delta)
+    part = build_code(FIXTURE, n, delta=delta).partition
     b = part.b
     tgt = target_fractions(FIXTURE)
     sizes = part.sizes()
@@ -374,7 +373,7 @@ def test_criterion_08_partition_fractions():
     history = []
     for k in range(8, 15):
         m = 1 << k
-        p_k = build_partition(FIXTURE, m, m // 8, delta=delta)
+        p_k = build_code(FIXTURE, m, m // 8, delta=delta).partition
         history.append(
             [len(s) / m for s in _cumulative_sets(p_k).values()]
             + [p_k.bec_info_main.size / p_k.b]

@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from hierpolar import cli_dispatch
+import hierpolar
+from hierpolar import channels, cli, cli_dispatch, polar, rates, scheme, sim
 
 SIM_FLAGS = ["--p1", "0.02", "--p2", "0.05", "--p1s", "0.11", "--p2s", "0.15", "--q1", "0.5"]
 UNSUPPORTED_FLAGS = [
@@ -117,6 +122,45 @@ def test_config_file_errors(tmp_path, capsys):
     bad_line.write_text("p1 0.1\n")
     assert run(capsys, ["--config", str(bad_line), "rates"])[0] == 1
     assert run(capsys, ["--config", str(tmp_path / "missing.cfg"), "rates"])[0] == 1
+
+
+def test_simulate_rejects_config_format_before_running(tmp_path, capsys):
+    # a config value skips argparse's choices; the run must not start, and
+    # an existing --out file must keep its bytes
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("format = xml\n")
+    out = tmp_path / "trials.txt"
+    out.write_bytes(b"earlier run\n")
+    code, stdout, err = run(capsys, ["--config", str(cfg)] + simulate_args(out))
+    assert code == 1
+    assert "format" in err and "xml" in err
+    assert "wall_seconds" not in err and stdout == ""
+    assert out.read_bytes() == b"earlier run\n"
+
+
+def test_package_runs_as_module_without_warnings():
+    src = str(Path(hierpolar.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "hierpolar", "--help"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "simulate" in proc.stdout
+    assert proc.stderr == ""
+
+
+def test_star_import_binds_each_layer_export():
+    ns: dict = {}
+    exec("from hierpolar import *", ns)
+    for layer in (channels, polar, rates, scheme, sim):
+        for name in layer.__all__:
+            assert ns[name] is getattr(layer, name), (layer.__name__, name)
+    assert ns["cli_dispatch"] is cli.cli_dispatch
+    assert set(ns) - {"__builtins__"} == set(hierpolar.__all__)
+    assert hierpolar.__all__ == sorted(hierpolar.__all__)
 
 
 def simulate_args(out_path=None, fmt=None, seed="3"):

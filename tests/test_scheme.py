@@ -16,11 +16,11 @@ from hierpolar import (
     ScenarioTag,
     UnsupportedScenarioError,
     WiretapParams,
+    binary_entropy,
     bit_reversal_permutation,
     bob_decode,
     bsc,
     build_code,
-    build_partition,
     bundle_shapes,
     designed_rate,
     encode,
@@ -68,7 +68,7 @@ def noiseless_obs(frame) -> np.ndarray:
 
 def test_partition_is_a_partition_for_every_scenario():
     for params in ALL_SCENARIOS:
-        part = build_partition(params, 64, 16)
+        part = build_code(params, 64, 16).partition
         pieces = [getattr(part, c) for c in N_CLASSES]
         merged = np.concatenate(pieces)
         assert merged.size == 64
@@ -82,57 +82,69 @@ def test_partition_is_a_partition_for_every_scenario():
 
 
 def test_partition_classes_follow_good_set_chain():
-    # strong layout: cumulative unions reproduce the four nested good sets
-    part = build_partition(SIM_A, 256, 32, delta=0.25)
-    t = 0.25 / (2 * 256)
-    good = {
-        p: set(select_good_set(reliability_profile(bsc(p), 256), t).tolist())
-        for p in (0.02, 0.05, 0.11, 0.15)
+    # cumulative unions reproduce the four nested good sets, most exclusive
+    # law first: p2s < p1s < p2 < p1 under the strong ordering and
+    # p2s < p2 < p1s < p1 under the interleaved one
+    chains = {
+        SIM_A: (
+            ("p2s", "block_random"),
+            ("p1s", "crossblock_secret"),
+            ("p2", "perblock_message"),
+            ("p1", "crossblock_message"),
+        ),
+        IND_WEAK: (
+            ("p2s", "block_random"),
+            ("p2", "crossblock_secret"),
+            ("p1s", "crossblock_random"),
+            ("p1", "crossblock_message"),
+        ),
     }
-    acc = set(part.block_random.tolist())
-    assert acc == good[0.15]
-    acc |= set(part.crossblock_secret.tolist())
-    assert acc == good[0.11]
-    acc |= set(part.perblock_message.tolist())
-    assert acc == good[0.05]
-    acc |= set(part.crossblock_message.tolist())
-    assert acc == good[0.02]
-    assert part.crossblock_random.size == 0
+    t = 0.25 / (2 * 256)
+    for params, chain in chains.items():
+        part = build_code(params, 256, 32, delta=0.25).partition
+        acc = set()
+        for law, cls in chain:
+            acc |= set(getattr(part, cls).tolist())
+            good = select_good_set(reliability_profile(bsc(getattr(params, law)), 256), t)
+            assert acc == set(good.tolist()), (params, law)
+        unused = set(N_CLASSES) - {cls for _, cls in chain} - {"frozen"}
+        assert [getattr(part, cls).size for cls in unused] == [0]
+        assert set(part.frozen.tolist()) == set(range(256)) - acc
 
 
 def test_partition_weak_layout_has_no_per_block_class():
     for params in (SIM_B, IND_WEAK):
-        part = build_partition(params, 64, 16)
+        part = build_code(params, 64, 16).partition
         assert part.perblock_message.size == 0
 
 
 def test_partition_collapses_when_states_coincide():
     # p1 == p2 leaves no cross-block message freedom
     flat_main = WiretapParams(p1=0.05, p2=0.05, p1s=0.11, p2s=0.15, q1=0.5)
-    assert build_partition(flat_main, 64, 16).crossblock_message.size == 0
+    assert build_code(flat_main, 64, 16).partition.crossblock_message.size == 0
     # p1s == p2s leaves no cross-block secret rows
     flat_eve = WiretapParams(p1=0.02, p2=0.05, p1s=0.15, p2s=0.15, q1=0.5)
-    assert build_partition(flat_eve, 64, 16).crossblock_secret.size == 0
+    assert build_code(flat_eve, 64, 16).partition.crossblock_secret.size == 0
 
 
 def test_partition_validation():
     with pytest.raises(ValueError):
-        build_partition(SIM_A, 64, 16, delta=0.0)
+        build_code(SIM_A, 64, 16, delta=0.0)
     with pytest.raises(ValueError):
-        build_partition(SIM_A, 64, 16, delta=1.0)
+        build_code(SIM_A, 64, 16, delta=1.0)
     with pytest.raises(ValueError):
-        build_partition(SIM_A, 63, 16)
+        build_code(SIM_A, 63, 16)
     with pytest.raises(ValueError, match=r"^b \(blocks per frame\) must be a power of two"):
-        build_partition(SIM_A, 64, 12)
+        build_code(SIM_A, 64, 12)
     with pytest.raises(ValueError, match=r"^n \(block length\) must be a power of two"):
-        build_partition(SIM_A, 48, 8)
+        build_code(SIM_A, 48, 8)
     with pytest.raises(ValueError):
-        build_partition(SIM_A, 64, 16, construction="dense-evolution")
+        build_code(SIM_A, 64, 16, construction="dense-evolution")
     unsupported = WiretapParams(
         p1=0.02, p2=0.2, p1s=0.1, p2s=0.3, q1=0.3, q1s=0.6, coupling="independent"
     )
     with pytest.raises(UnsupportedScenarioError):
-        build_partition(unsupported, 64, 16)
+        build_code(unsupported, 64, 16)
 
 
 def test_code_selects_secret_info_set_by_coupling():
@@ -149,7 +161,8 @@ def test_code_selects_secret_info_set_by_coupling():
 
 def test_genie_mc_construction_keeps_nesting():
     rng = np.random.default_rng(61)
-    part = build_partition(SIM_A, 64, 16, construction="genie-mc", construction_trials=512, rng=rng)
+    code = build_code(SIM_A, 64, 16, construction="genie-mc", construction_trials=512, rng=rng)
+    part = code.partition
     pieces = [getattr(part, c) for c in N_CLASSES]
     assert np.array_equal(np.sort(np.concatenate(pieces)), np.arange(64))
 
@@ -434,3 +447,28 @@ def test_target_fractions_sum_to_one_over_block_classes():
     )
     with pytest.raises(UnsupportedScenarioError):
         target_fractions(unsupported)
+
+
+def test_target_fractions_are_the_entropy_gaps_of_each_layout():
+    h1, h2, h1s, h2s = (binary_entropy(p) for p in (0.02, 0.05, 0.11, 0.15))
+    assert target_fractions(SIM_A) == {
+        "block_random": 1.0 - h2s,
+        "crossblock_secret": h2s - h1s,
+        "perblock_message": h1s - h2,
+        "crossblock_message": h2 - h1,
+        "crossblock_random": 0.0,
+        "frozen": h1,
+        "bec_info_main": 0.5,
+        "bec_info_eve": 0.5,
+    }
+    h1, h2, h1s, h2s = (binary_entropy(p) for p in (0.02, 0.11, 0.05, 0.15))
+    assert target_fractions(IND_WEAK) == {
+        "block_random": 1.0 - h2s,
+        "crossblock_secret": h2s - h2,
+        "crossblock_random": h2 - h1s,
+        "crossblock_message": h1s - h1,
+        "perblock_message": 0.0,
+        "frozen": h1,
+        "bec_info_main": 0.6,
+        "bec_info_eve": 0.4,
+    }

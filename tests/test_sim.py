@@ -46,6 +46,17 @@ def test_config_validation():
         small_config(trials=0)
     with pytest.raises(ValueError):
         small_config(b=1)
+    # sizes, trials and seed must be integers, not bools; numpy integers are
+    # stored as int
+    for name in ("n", "b", "trials", "seed"):
+        for bad in (2.5, True, "3", np.float64(3.0)):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                small_config(**{name: bad})
+    cfg = small_config(trials=np.int64(3), seed=np.uint32(9))
+    assert type(cfg.trials) is int and type(cfg.seed) is int
+    assert (cfg.trials, cfg.seed) == (3, 9)
+    _, records = run_simulation(cfg)
+    assert [r.seed for r in records] == [derive_trial_seed(9, t) for t in range(3)]
 
 
 def test_trial_seed_matches_hash_spec():
@@ -148,6 +159,19 @@ def test_simulation_reuses_supplied_code():
     assert recs_a == recs_b
     with pytest.raises(ValueError):
         run_simulation(small_config(n=128, b=16), code=code)
+    # a code built for other params, delta or construction would be reported
+    # under the configuration's values
+    for field, kw in (
+        ("params", dict(params=IND_WEAK)),
+        ("delta", dict(delta=0.9)),
+        ("construction", dict(construction="genie-mc")),
+        ("b", dict(b=32)),
+        ("params, delta", dict(params=IND_WEAK, delta=0.5)),
+    ):
+        with pytest.raises(ValueError, match=f"configured {field}$"):
+            run_simulation(small_config(**kw), code=code)
+    # construction_trials is not part of a code, so it may differ
+    run_simulation(small_config(trials=2, construction_trials=5), code=code)
 
 
 def test_noiseless_degenerate_params_never_fail():
