@@ -44,7 +44,10 @@ The ``genie-mc`` profile does not run this recursion.  Its genie knows
 every partial sum, so no decision feeds back: it evolves the all-zero
 codeword's LLRs one tree level at a time with the same f and g, which gives
 each decision LLR of any codeword up to its sign (Arikan, 2009; Vangala,
-Viterbo & Hong, 2015).
+Viterbo & Hong, 2015).  Near the channel a node takes few distinct LLRs, so
+those levels run on small integer codes through f and g tables built once
+per call, while the tables hold at most ``_GENIE_TILE`` entries: widths n
+to n/16 for the fixture's flip laws, and every level of an erasure law.
 """
 
 from __future__ import annotations
@@ -81,7 +84,7 @@ _ATANH_LIMIT = 1.0 - 1e-15
 
 
 def _require_block_length(n: int, what: str = "block length") -> int:
-    if not isinstance(n, (int, np.integer)) or n < 1 or (n & (n - 1)) != 0:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1 or (n & (n - 1)) != 0:
         raise ValueError(f"{what} must be a power of two >= 1, got {n!r}")
     return int(n)
 
@@ -221,26 +224,37 @@ def _genie_mc_profile(law: "ChannelLaw", n: int, trials: int, rng: np.random.Gen
     # is symmetric, so the LLRs of codeword x are those of the zero codeword
     # times (-1)^x: f is odd in each argument, and g with the true left bits
     # adds the halves up to that sign.  With nothing fed back, the zero
-    # codeword's tree runs one level at a time (see _genie_levels); u is
+    # codeword's tree runs one level at a time, on value codes near the
+    # channel (see _genie_plan), then on floats (see _genie_levels); u is
     # drawn only to keep the generator's stream and to score each position:
     # a tie decides 1, so it is wrong where the true bit is 0 (an erasure
     # law counts every tie).  A chunk of trials draws its bits, then its
-    # channel tile by tile, which yields the values of one channel draw
+    # channel tile by tile, as channels.transmit would: a hit codes root[1]
     bad = np.zeros(n, dtype=np.int64)
-    finite = bool(np.isfinite(_llr_magnitude(law)))
+    root, finite, plan = _genie_plan(law, n)
     perm = bit_reversal_permutation(n)
     tile = max(1, min(trials, _GENIE_TILE // n))
-    zero, superior = np.zeros((tile, n), dtype=np.uint8), np.ones(tile, dtype=bool)
     work = np.empty(3 * tile * n, dtype=np.float64)
+    codes = np.empty(2 * tile * n, dtype=np.uint8)
     chunk = max(1, (1 << 22) // n)
     for done in range(0, trials, chunk):
         u = rng.integers(0, 2, size=(min(chunk, trials - done), n), dtype=np.uint8)
         for r in range(0, u.shape[0], tile):
             t = min(tile, u.shape[0] - r)
-            llr = _channel_llrs(zero[:t], superior[:t], (law, law), rng)
+            hit = rng.random((t, n)) < law.param
             cur, nxt, scratch = (work[k * t * n : (k + 1) * t * n].reshape(n, t) for k in range(3))
-            np.take(llr.T, perm, axis=0, out=cur)
-            leaves = _genie_levels(cur, nxt, scratch, finite)
+            code, spare = (codes[k * t * n : (k + 1) * t * n].reshape(n, t) for k in range(2))
+            np.take(hit.view(np.uint8).T, perm, axis=0, out=code)
+            if not plan:  # n = 1: the channel LLRs are the leaves
+                np.take(root, code, out=cur)
+            for k, (size, base, tables) in enumerate(plan):
+                pair = code.reshape(size.shape[0], 2, -1, t)
+                idx = pair[:, 0] * size + base
+                idx += pair[:, 1]
+                out = (cur if k == len(plan) - 1 else spare).reshape(pair.shape).swapaxes(0, 1)
+                np.take(tables, idx, axis=1, out=out)
+                code, spare = spare, code
+            leaves = _genie_levels(cur, nxt, scratch, finite, n >> len(plan))
             if law.is_erasure:
                 bad += np.count_nonzero(leaves == 0.0, axis=1)
             else:
@@ -248,27 +262,64 @@ def _genie_mc_profile(law: "ChannelLaw", n: int, trials: int, rng: np.random.Gen
     return bad / float(trials)
 
 
-def _genie_levels(cur: np.ndarray, nxt: np.ndarray, scratch: np.ndarray, finite: bool) -> np.ndarray:
-    # the zero codeword's SC tree one level at a time, on (n, rows) LLRs in
-    # bit-reversed order: a node of width w holds its even codeword positions
-    # in its first half and its odd ones in its second, each half again in
-    # bit-reversed order, so its children are f and the sum of its halves,
-    # laid out side by side.  After log2(n) levels row i holds the decision
-    # LLRs of decoder position i.  cur, nxt and scratch are workspaces of the
-    # same shape; the result is one of the first two
+def _genie_plan(law: "ChannelLaw", n: int) -> tuple[np.ndarray, bool, list]:
+    # the root's values (unhit, hit), whether they are finite, and code
+    # tables for the tree levels next to the channel.  There a node holds
+    # codes into its values V (sorted below the root); its code pair (i, j),
+    # at entry |V| i + j of its slice of the level's tables, maps to the codes
+    # of f(V[i], V[j]) and V[i] + V[j] in its children's values, computed by
+    # the float levels' own step (np.unique merges 0.0 with -0.0, which no
+    # later f, g or score tells apart).  Levels are coded while their tables
+    # hold at most _GENIE_TILE entries, so codes fit a uint8; the last coded
+    # level's tables hold the child LLRs.  Equal values share their tables
+    mag = _llr_magnitude(law)
+    root = np.array([np.inf, 0.0] if law.is_erasure else [mag, -mag])
+    finite = bool(np.isfinite(root).all())
+    pairs, plan, values = {}, [], [root]
+    while len(values) < n and sum(v.size**2 for v in values) <= _GENIE_TILE:
+        for v in values:
+            if v.tobytes() not in pairs:
+                a, b = np.repeat(v, v.size), np.tile(v, v.size)
+                llr = np.empty((2, a.size))
+                _genie_step(a, b, llr[0], llr[1], np.empty_like(a), finite)
+                pairs[v.tobytes()] = llr, [np.unique(x, return_inverse=True) for x in llr]
+        level = [pairs[v.tobytes()] for v in values]
+        size = np.array([v.size for v in values])[:, None, None]
+        codes = np.concatenate([[c for _, c in kids] for _, kids in level], axis=1)
+        plan.append((size, np.cumsum(size**2, axis=0) - size**2, codes.astype(np.uint8)))
+        values = [vals for _, kids in level for vals, _ in kids]
+    if plan:
+        plan[-1] = plan[-1][:2] + (np.concatenate([llr for llr, _ in level], axis=1),)
+    return root, finite, plan
+
+
+def _genie_step(
+    a: np.ndarray, b: np.ndarray, left: np.ndarray, right: np.ndarray, scratch: np.ndarray, finite: bool
+) -> None:
+    # one genie level: f of the halves a and b into left, their sum into right
+    if finite:
+        _f_finite(a, b, left, scratch)
+        np.add(a, b, out=right)
+    else:
+        _f_combine(a, b, left, scratch)
+        with np.errstate(invalid="ignore"):
+            _nan_to_tie(np.add(a, b, out=right))
+
+
+def _genie_levels(cur: np.ndarray, nxt: np.ndarray, scratch: np.ndarray, finite: bool, w: int) -> np.ndarray:
+    # the zero codeword's SC tree one level at a time from width w down, on
+    # (n, rows) LLRs in bit-reversed order: a node of width w holds its even
+    # codeword positions in its first half and its odd ones in its second,
+    # each half again in bit-reversed order, so its children are f and the
+    # sum of its halves, laid out side by side.  After the last level row i
+    # holds the decision LLRs of decoder position i.  cur, nxt and scratch
+    # are workspaces of the same shape; the result is one of the first two
     n, t = cur.shape
-    f = _f_finite if finite else _f_combine
-    w = n
     while w > 1:
         half = w // 2
         a, b = cur.reshape(n // w, 2, half, t).transpose(1, 0, 2, 3)
         left, right = nxt.reshape(n // w, 2, half, t).transpose(1, 0, 2, 3)
-        f(a, b, left, scratch[: n // 2].reshape(n // w, half, t))
-        if finite:
-            np.add(a, b, out=right)
-        else:
-            with np.errstate(invalid="ignore"):
-                _nan_to_tie(np.add(a, b, out=right))
+        _genie_step(a, b, left, right, scratch[: n // 2].reshape(n // w, half, t), finite)
         cur, nxt, w = nxt, cur, half
     return cur
 
@@ -298,9 +349,10 @@ def reliability_profile(
         genie-aided successive cancellation runs, where every earlier bit is
         known: the all-zero codeword's LLRs, evolved level by level, scored
         against random bits drawn alongside (a tie decides 1; under an
-        erasure law every tie counts).  ``trials`` is a positive int.
+        erasure law every tie counts).  ``trials`` is a positive int and
+        ``rng`` a ``numpy.random.Generator`` (default: seeded with 0).
     """
-    n = _require_block_length(n)
+    n = _require_block_length(n, "n (block length)")
     if method == "exact-bec":
         if law.kind != "bec":
             raise ValueError("exact-bec profiles require an erasure law")
@@ -317,6 +369,8 @@ def reliability_profile(
             raise ValueError(f"genie-mc trials must be a positive integer, got {trials!r}")
         if rng is None:
             rng = np.random.default_rng(0)
+        elif not isinstance(rng, np.random.Generator):
+            raise TypeError(f"genie-mc rng must be a numpy.random.Generator, got {rng!r}")
         z = _genie_mc_profile(law, n, int(trials), rng)
     else:
         raise ValueError(f"unknown profile method {method!r}")

@@ -234,6 +234,8 @@ def build_code(
     """
     n = _require_block_length(n, "n (block length)")
     b = _require_block_length(max(2, n // 8) if b is None else b, "b (blocks per frame)")
+    if b < 2:
+        raise ValueError(f"b (blocks per frame) must be at least 2, got {b}")
     tag = classify_scenario(params)
     if tag is ScenarioTag.UNSUPPORTED:
         raise UnsupportedScenarioError(

@@ -68,6 +68,13 @@ def test_construct_unsupported_scenario_exits_two(capsys):
     assert "unsupported" in err.lower()
 
 
+def test_construct_rejects_a_single_block(capsys):
+    # simulate refuses b = 1, so construct does too
+    code, out, err = run(capsys, ["construct"] + SIM_FLAGS + ["--n", "64", "--b", "1"])
+    assert code == 1 and out == ""
+    assert "b (blocks per frame) must be at least 2" in err
+
+
 def test_construct_reports_partition(capsys):
     code, out, _ = run(capsys, ["construct"] + SIM_FLAGS + ["--n", "64", "--b", "16"])
     assert code == 0

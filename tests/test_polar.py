@@ -24,7 +24,7 @@ from hierpolar import (
     select_good_set,
     transmit,
 )
-from hierpolar.polar import _GENIE_TILE, _f_combine, _g_combine
+from hierpolar.polar import _GENIE_TILE, _f_combine, _g_combine, _genie_plan
 
 
 def dense_generator(n: int) -> np.ndarray:
@@ -209,6 +209,20 @@ def test_genie_profile_rejects_bad_trials():
         with pytest.raises(ValueError, match="trials"):
             reliability_profile(bsc(0.1), 8, "genie-mc", trials=trials)
     assert reliability_profile(bsc(0.1), 8, "genie-mc", trials=np.int64(3)).z.shape == (8,)
+
+
+def test_genie_profile_rejects_a_seed_for_rng():
+    for rng in (5, np.int64(5), np.random.RandomState(5)):
+        with pytest.raises(TypeError, match="rng must be a numpy.random.Generator"):
+            reliability_profile(bsc(0.1), 8, "genie-mc", trials=4, rng=rng)
+
+
+def test_block_length_rejects_bool():
+    for n in (True, False):
+        with pytest.raises(ValueError, match=r"^n \(block length\) must be a power of two"):
+            reliability_profile(bsc(0.1), n)
+        with pytest.raises(ValueError, match="must be a power of two"):
+            bit_reversal_permutation(n)
 
 
 def certain_llr(bits) -> np.ndarray:
@@ -606,6 +620,33 @@ def test_genie_profile_matches_depth_first_genie_at_tile_and_chunk_ends(law, tri
     # noisy laws at n = 1024: one tile and a row past a draw chunk, and a
     # row past three tiles
     assert_genie_profile_matches_depth_first(law, 1024, trials, 7)
+
+
+@pytest.mark.parametrize("law, n, trials", [(bsc(0.07), 4096, 24), (bec(0.4), 2048, 40)])
+def test_genie_profile_matches_depth_first_genie_past_the_coded_levels(law, n, trials):
+    # the flip law runs its levels from width 128 down in floats; the
+    # erasure law runs every level on codes
+    assert_genie_profile_matches_depth_first(law, n, trials, 13)
+
+
+@pytest.mark.parametrize("law", [bsc(0.02), bsc(0.15)])
+def test_genie_plan_codes_flip_levels_down_to_width_32(law):
+    _, finite, plan = _genie_plan(law, 1024)
+    assert finite and 1024 >> len(plan) == 32
+    for size, base, tables in plan:
+        assert tables.shape[1] == (size**2).sum() <= _GENIE_TILE
+        assert base.ravel().tolist() == (np.cumsum(size**2) - size.ravel() ** 2).tolist()
+    # codes between the coded levels, the float LLRs out of the last one
+    assert [tables.dtype for _, _, tables in plan] == [np.uint8] * 4 + [np.float64]
+
+
+@pytest.mark.parametrize("law", [bec(0.3), bec(1.0), bsc(0.0), bsc(0.5)])
+def test_genie_plan_codes_every_level_of_an_erasure_or_noiseless_law(law):
+    # their nodes take at most three values ({0, +inf}, and -inf for bsc(0))
+    for n in (1, 2, 1024, 2048):
+        _, _, plan = _genie_plan(law, n)
+        assert len(plan) == n.bit_length() - 1
+        assert all(tables.shape[1] <= 9 * size.size for size, _, tables in plan)
 
 
 def test_sc_leaves_no_reference_cycles():

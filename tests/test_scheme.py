@@ -159,6 +159,21 @@ def test_code_selects_secret_info_set_by_coupling():
     assert set(ind.partition.bec_info_eve) <= set(ind.partition.bec_info_main)
 
 
+def test_build_code_rejects_bool_block_lengths_and_single_blocks():
+    with pytest.raises(ValueError, match=r"^n \(block length\) must be a power of two"):
+        build_code(SIM_A, True, True)
+    with pytest.raises(ValueError, match=r"^b \(blocks per frame\) must be a power of two"):
+        build_code(SIM_A, 64, True)
+    with pytest.raises(ValueError, match=r"^b \(blocks per frame\) must be at least 2, got 1$"):
+        build_code(SIM_A, 64, 1)
+    assert build_code(SIM_A, 1).partition.b == 2
+
+
+def test_genie_mc_construction_rejects_a_seed_for_rng():
+    with pytest.raises(TypeError, match="rng must be a numpy.random.Generator"):
+        build_code(SIM_A, 64, 16, construction="genie-mc", rng=5)
+
+
 def test_genie_mc_construction_keeps_nesting():
     rng = np.random.default_rng(61)
     code = build_code(SIM_A, 64, 16, construction="genie-mc", construction_trials=512, rng=rng)
