@@ -48,13 +48,21 @@ Viterbo & Hong, 2015).  Near the channel a node takes few distinct LLRs, so
 those levels run on small integer codes through f and g tables built once
 per call, while the tables hold at most ``_GENIE_TILE`` entries: widths n
 to n/16 for the fixture's flip laws, and every level of an erasure law.
+The tiles of rows run on the calling thread and a helper thread per
+further usable CPU (four threads at most).  The threads take the tiles in
+order and draw each one's channel under one lock, so the generator's
+stream and every estimate are the same for any number of threads.
 """
 
 from __future__ import annotations
 
+import collections
+import contextvars
 import functools
+import os
+import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -73,10 +81,15 @@ __all__ = [
 
 PROFILE_METHODS = ("exact-bec", "bhattacharyya-bound", "genie-mc")
 
-# LLRs per genie-mc tile: the profile draws its channel and evolves the
-# tree levels on whole rows of about this many LLRs at a time, so its
-# buffers stay small
+# LLRs per genie-mc tile, shared by the workers: each of them draws its
+# channel and evolves the tree levels on whole rows of about
+# _GENIE_TILE / _GENIE_WORKERS LLRs at a time, so the buffers in flight stay
+# small however many workers there are
 _GENIE_TILE = 1 << 16
+
+# threads that evolve a genie-mc profile's tiles, the calling one included:
+# the CPUs this process may run on, at most four
+_GENIE_WORKERS = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 # tanh saturates near 19; this keeps arctanh finite unless an input was
 # genuinely infinite, in which case the exact certainty algebra takes over.
@@ -229,37 +242,88 @@ def _genie_mc_profile(law: "ChannelLaw", n: int, trials: int, rng: np.random.Gen
     # drawn only to keep the generator's stream and to score each position:
     # a tie decides 1, so it is wrong where the true bit is 0 (an erasure
     # law counts every tie).  A chunk of trials draws its bits, then its
-    # channel tile by tile, as channels.transmit would: a hit codes root[1]
-    bad = np.zeros(n, dtype=np.int64)
+    # channel tile by tile, as channels.transmit would: a hit codes root[1].
+    # Up to _GENIE_WORKERS threads, the calling one included, take the
+    # tiles in order and draw each under one lock, so the stream is the same
+    # for any number of them; each evolves its tiles in its own workspace
+    # and counts its errors in its own row of bad
     root, finite, plan = _genie_plan(law, n)
     perm = bit_reversal_permutation(n)
-    tile = max(1, min(trials, _GENIE_TILE // n))
-    work = np.empty(3 * tile * n, dtype=np.float64)
-    codes = np.empty(2 * tile * n, dtype=np.uint8)
+    tile = max(1, min(trials, _GENIE_TILE // _GENIE_WORKERS // n))
+    bad = np.zeros((_GENIE_WORKERS, n), dtype=np.int64)
+    lock = threading.Lock()
+
+    def evolve(u: np.ndarray, starts: Iterator[int], wrong: np.ndarray) -> None:
+        # the tiles of u that this worker takes, until none is left.  A
+        # tile's draw and hits sit in the scratch and spare slots, which the
+        # levels need only once the hits are coded
+        work = np.empty(3 * tile * n, dtype=np.float64)
+        codes = np.empty(2 * tile * n, dtype=np.uint8)
+        try:
+            while True:
+                with lock:
+                    r = next(starts, None)
+                    if r is None:
+                        return
+                    t = min(tile, u.shape[0] - r)
+                    draw = rng.random(out=work[2 * t * n : 3 * t * n].reshape(t, n))
+                cur, nxt, scratch = (work[k * t * n : (k + 1) * t * n].reshape(n, t) for k in range(3))
+                code, spare = (codes[k * t * n : (k + 1) * t * n].reshape(n, t) for k in range(2))
+                hit = np.less(draw, law.param, out=spare.reshape(t, n))
+                np.take(hit.T, perm, axis=0, out=code)
+                if not plan:  # n = 1: the channel LLRs are the leaves
+                    np.take(root, code, out=cur)
+                for k, (size, base, tables) in enumerate(plan):
+                    pair = code.reshape(size.shape[0], 2, -1, t)
+                    idx = pair[:, 0] * size + base
+                    idx += pair[:, 1]
+                    out = (cur if k == len(plan) - 1 else spare).reshape(pair.shape).swapaxes(0, 1)
+                    np.take(tables, idx, axis=1, out=out)
+                    code, spare = spare, code
+                leaves = _genie_levels(cur, nxt, scratch, finite, n >> len(plan))
+                if law.is_erasure:
+                    wrong += np.count_nonzero(leaves == 0.0, axis=1)
+                else:
+                    wrong += np.count_nonzero(np.where(u[r : r + t].T, leaves < 0.0, leaves <= 0.0), axis=1)
+        except BaseException:
+            with lock:  # the other workers stop after their current tile
+                collections.deque(starts, maxlen=0)
+            raise
+
     chunk = max(1, (1 << 22) // n)
     for done in range(0, trials, chunk):
         u = rng.integers(0, 2, size=(min(chunk, trials - done), n), dtype=np.uint8)
-        for r in range(0, u.shape[0], tile):
-            t = min(tile, u.shape[0] - r)
-            hit = rng.random((t, n)) < law.param
-            cur, nxt, scratch = (work[k * t * n : (k + 1) * t * n].reshape(n, t) for k in range(3))
-            code, spare = (codes[k * t * n : (k + 1) * t * n].reshape(n, t) for k in range(2))
-            np.take(hit.view(np.uint8).T, perm, axis=0, out=code)
-            if not plan:  # n = 1: the channel LLRs are the leaves
-                np.take(root, code, out=cur)
-            for k, (size, base, tables) in enumerate(plan):
-                pair = code.reshape(size.shape[0], 2, -1, t)
-                idx = pair[:, 0] * size + base
-                idx += pair[:, 1]
-                out = (cur if k == len(plan) - 1 else spare).reshape(pair.shape).swapaxes(0, 1)
-                np.take(tables, idx, axis=1, out=out)
-                code, spare = spare, code
-            leaves = _genie_levels(cur, nxt, scratch, finite, n >> len(plan))
-            if law.is_erasure:
-                bad += np.count_nonzero(leaves == 0.0, axis=1)
-            else:
-                bad += np.count_nonzero(np.where(u[r : r + t].T, leaves < 0.0, leaves <= 0.0), axis=1)
-    return bad / float(trials)
+        starts = iter(range(0, u.shape[0], tile))
+        workers = min(_GENIE_WORKERS, -(-u.shape[0] // tile))
+        _on_threads(evolve, [(u, starts, row) for row in bad[:workers]])
+    return bad.sum(axis=0) / float(trials)
+
+
+def _on_threads(task: Callable[..., None], args: list[tuple]) -> None:
+    # task(*args[0]) on the calling thread and task(*a) for each later a on
+    # a helper thread of its own, run in a copy of the caller's context (so
+    # numpy's errstate holds there too); joins every helper, then re-raises
+    # the first exception a helper raised
+    errors: list[BaseException] = []
+
+    def helper(*a) -> None:
+        try:
+            task(*a)
+        except BaseException as exc:  # raised again on the calling thread
+            errors.append(exc)
+
+    started = []
+    try:
+        for a in args[1:]:
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(helper, *a))
+            thread.start()
+            started.append(thread)
+        task(*args[0])
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _genie_plan(law: "ChannelLaw", n: int) -> tuple[np.ndarray, bool, list]:

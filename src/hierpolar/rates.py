@@ -171,11 +171,16 @@ def eve_ergodic_capacity(params: WiretapParams) -> float:
 
 @dataclass(frozen=True)
 class LeakageBound:
-    """Information-leakage bound derived from a genie-aided eavesdropper's
-    frame error rate over the random bits.
+    """Fano bound derived from a genie-aided eavesdropper's frame error rate
+    over the random bits.
 
     ``bound_bits_total`` is ``fer * random_bit_count + H(fer)`` bits per
-    frame; ``per_channel_use`` divides by the frame length.
+    frame; ``per_channel_use`` divides by the frame length.  By Fano's
+    inequality it bounds H(R|M,Z,S), the uncertainty left about the random
+    bits R given the message M, the eavesdropper's observation Z and the
+    fading states S.  It bounds the leakage I(M;Z) only when the random bits
+    saturate the eavesdropper's channel, I(M,R;Z|S) <= H(R), which a
+    finite-length code need not meet.
     """
 
     bound_bits_total: float
@@ -187,8 +192,8 @@ class LeakageBound:
 def fano_leakage_bound(
     eve_fer: float, random_bit_count: int, n: int, b: int
 ) -> LeakageBound:
-    """Bound the per-frame message leakage from the genie-aided eavesdropper's
-    failure rate at recovering all random bits."""
+    """Bound H(R|M,Z,S) per frame from the genie-aided eavesdropper's
+    failure rate at recovering all random bits (see :class:`LeakageBound`)."""
     eve_fer = _check_prob("eve_fer", eve_fer)
     for name, v, least in (("random_bit_count", random_bit_count, 0), ("n", n, 1), ("b", b, 1)):
         if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < least:

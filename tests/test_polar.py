@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import gc
+import sys
+import threading
+import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +28,8 @@ from hierpolar import (
     select_good_set,
     transmit,
 )
-from hierpolar.polar import _GENIE_TILE, _f_combine, _g_combine, _genie_plan
+from hierpolar import polar
+from hierpolar.polar import _GENIE_TILE, _GENIE_WORKERS, _f_combine, _g_combine, _genie_plan
 
 
 def dense_generator(n: int) -> np.ndarray:
@@ -573,17 +578,17 @@ def genie_leaves(llr, u):
 
 @st.composite
 def genie_cases(draw, kind):
-    # a law of the given kind; trial counts around one, two and three row
-    # tiles and just past a draw chunk of 2^22 / n trials, at whose end the
-    # tiles start over
-    n = draw(st.sampled_from([1 << k for k in range(10, 0, -1)]))
+    # a law of the given kind; trial counts around one, two and three
+    # per-worker row tiles and just past a draw chunk of 2^22 / n trials, at
+    # whose end the tiles start over
+    n = draw(st.sampled_from([1 << k for k in range(12, -1, -1)]))
     if kind == "bsc(p)":
         law = bsc(draw(st.floats(0.001, 0.45)))
     elif kind == "bec(q)":
         law = bec(draw(st.floats(0.01, 0.99)))
     else:
         law = (bsc if kind.startswith("bsc") else bec)(float(kind[4:-1]))
-    tile, chunk = max(1, _GENIE_TILE // n), (1 << 22) // n
+    tile, chunk = max(1, _GENIE_TILE // _GENIE_WORKERS // n), (1 << 22) // n
     base = draw(st.sampled_from([0, tile, 2 * tile, 3 * tile, chunk]))
     trials = max(1, base + draw(st.integers(-2, 2 if base else 40)))
     return law, n, trials, draw(st.integers(0, 2**32 - 1))
@@ -627,6 +632,99 @@ def test_genie_profile_matches_depth_first_genie_past_the_coded_levels(law, n, t
     # the flip law runs its levels from width 128 down in floats; the
     # erasure law runs every level on codes
     assert_genie_profile_matches_depth_first(law, n, trials, 13)
+
+
+def genie_profiles_by_worker_count(law, n, trials, seed, counts):
+    # the profile computed with each number of workers in counts
+    profiles = []
+    for workers in counts:
+        with mock.patch.object(polar, "_GENIE_WORKERS", workers):
+            rng = np.random.default_rng(seed)
+            profiles.append(reliability_profile(law, n, "genie-mc", trials=trials, rng=rng).z.tolist())
+    return profiles
+
+
+@pytest.mark.parametrize("kind", ["bsc(p)", "bec(q)"])
+@settings(max_examples=12)
+@given(data=st.data())
+def test_genie_profile_does_not_depend_on_the_worker_count(kind, data):
+    one, two, three = genie_profiles_by_worker_count(*data.draw(genie_cases(kind)), (1, 2, 3))
+    assert one == two == three
+
+
+@pytest.mark.parametrize("law", [bsc(0.11), bec(0.3)])
+@pytest.mark.parametrize("n", [1, 4096])
+def test_genie_profile_does_not_depend_on_the_worker_count_past_a_chunk(law, n):
+    # the extreme block lengths, three rows into a second draw chunk
+    one, two, three = genie_profiles_by_worker_count(law, n, (1 << 22) // n + 3, 23, (1, 2, 3))
+    assert one == two == three
+
+
+def test_genie_workers_keep_the_stream_under_frequent_thread_switches():
+    # more workers than this machine's CPUs, switching threads every
+    # microsecond: a draw taken out of order or a lost count changes z
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        one, four = genie_profiles_by_worker_count(bsc(0.11), 64, 200 * (_GENIE_TILE // 4 // 64) + 3, 17, (1, 4))
+    finally:
+        sys.setswitchinterval(interval)
+    assert one == four
+
+
+@pytest.mark.parametrize("where", ["second call", "first helper call"])
+def test_genie_worker_failure_reaches_the_caller_and_ends_every_helper(monkeypatch, where):
+    calls = []
+    levels = polar._genie_levels
+
+    def failing(*args):
+        calls.append(threading.current_thread())
+        caller = threading.current_thread() is threading.main_thread()
+        if (len(calls) == 2) if where == "second call" else not caller:
+            raise RuntimeError(where)
+        if caller:
+            time.sleep(0.005)  # let the helpers take tiles
+        return levels(*args)
+
+    monkeypatch.setattr(polar, "_genie_levels", failing)
+    monkeypatch.setattr(polar, "_GENIE_WORKERS", 3)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=where):
+        reliability_profile(bsc(0.11), 1024, "genie-mc", trials=2048, rng=np.random.default_rng(5))
+    assert threading.active_count() == before
+    # the failure stops the other workers after the tile they hold, long
+    # before the 98 tiles of the run
+    assert len(calls) < 10
+
+
+def test_single_tile_genie_profile_starts_no_thread(monkeypatch):
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
+    monkeypatch.setattr(polar, "_GENIE_WORKERS", 4)
+    tile = _GENIE_TILE // 4 // 64
+    reliability_profile(bsc(0.1), 64, "genie-mc", trials=tile)
+    assert started == []
+    reliability_profile(bsc(0.1), 64, "genie-mc", trials=tile + 1)
+    assert len(started) == 1
+
+
+def test_genie_helpers_see_the_callers_errstate(monkeypatch):
+    seen = {}
+    step = polar._genie_step
+
+    def recording(*args):
+        seen.setdefault(threading.get_ident(), set()).add(np.geterr()["over"])
+        if threading.current_thread() is threading.main_thread():
+            time.sleep(0.002)  # let the helpers take tiles
+        step(*args)
+
+    monkeypatch.setattr(polar, "_genie_step", recording)
+    monkeypatch.setattr(polar, "_GENIE_WORKERS", 3)
+    with np.errstate(over="raise"):
+        reliability_profile(bsc(0.11), 1024, "genie-mc", trials=256, rng=np.random.default_rng(9))
+    assert len(seen) == 3
+    assert all(modes == {"raise"} for modes in seen.values())
 
 
 @pytest.mark.parametrize("law", [bsc(0.02), bsc(0.15)])
