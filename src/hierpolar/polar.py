@@ -29,7 +29,8 @@ its pinned bits, its partial sums their transform.  Under a flip law a
 Rate-1 node (none frozen) takes the hard decisions ``x = llr <= 0`` as its
 partial sums and ``polar_transform(x)`` as its decisions, if a guard proves
 that no f below it rounds to 0; erasure-law calls prune Rate-0 nodes only
-(ROADMAP item 2a keeps their Rate-1 nodes for a sign arithmetic).
+(their Rate-1 nodes wait for the sign arithmetic of ROADMAP's SC kernel
+direction).
 |f(a, b)| grows with |a| and |b|, and with consistent hard decisions every
 g adds two values of one sign, so the guard is ``min |llr| >= t(w)`` at
 width w, where t(w) is the smallest power of ten m whose f(m, m), applied

@@ -485,34 +485,49 @@ def _mask_of(n: int, *index_sets: np.ndarray) -> np.ndarray:
     return mask
 
 
+def _row_order(superior: np.ndarray) -> np.ndarray:
+    """The engine's row layout of T frames with (T, b) states ``superior``:
+    row i of the (T * b, n) stack holds block ``order[i]``, counting block j
+    of frame t as t * b + j.  Every superior block comes first, then every
+    degraded one, each in frame and block order."""
+    flat = superior.reshape(-1)
+    return np.concatenate([np.flatnonzero(flat), np.flatnonzero(~flat)])
+
+
 def _frames(
-    code: HierarchicalCode, llr: np.ndarray, *per_frame
-) -> tuple[np.ndarray, list[list], bool]:
-    """A decoder's input as a stack: the (T, b, n) LLRs, each per-frame
-    argument as a list of T, and whether the input was a single frame."""
+    code: HierarchicalCode,
+    llr: np.ndarray,
+    trace: FadingTrace | Sequence[FadingTrace],
+    field: str,
+    *per_frame,
+) -> tuple[np.ndarray, np.ndarray, list[list], bool]:
+    """A decoder's input in the engine's layout: the (T * b, n) LLR rows,
+    the traces' (T, b) states ``field``, each per-frame argument as a list
+    of T, and whether the input was a single frame.  A (T, b, n) stack is
+    gathered into the layout; (T * b, n) rows are taken as laid out."""
     llr = np.asarray(llr, dtype=np.float64)
-    single = llr.ndim == 2
-    if single:
-        llr = llr[None]
-        per_frame = tuple([arg] for arg in per_frame)
     b, n = code.b, code.n
-    if llr.ndim != 3 or llr.shape[1:] != (b, n):
-        shape = llr.shape[1:] if single else llr.shape
-        raise ValueError(f"llr must have shape {(b, n)} or (T, {b}, {n}), got {shape}")
-    lists = [list(arg) for arg in per_frame]
-    for arg in lists:
-        if len(arg) != llr.shape[0]:
+    single = isinstance(trace, FadingTrace)
+    if single:
+        llr, trace, per_frame = llr[None], [trace], tuple([arg] for arg in per_frame)
+    traces, lists = list(trace), [list(arg) for arg in per_frame]
+    frames = llr.shape[0] if llr.ndim == 3 else len(traces)
+    for arg in (traces, *lists):
+        if len(arg) != frames:
             raise ValueError(
-                f"{llr.shape[0]} stacked frames need as many traces and bundles, got {len(arg)}"
+                f"{frames} stacked frames need as many traces and bundles, got {len(arg)}"
             )
-    return llr, lists, single
-
-
-def _superior(code: HierarchicalCode, traces: list[FadingTrace], field: str) -> np.ndarray:
-    """The (T, b) state vectors ``field`` of the traces."""
-    if any(trace.blocks != code.b for trace in traces):
+    if any(t.blocks != b for t in traces):
         raise ValueError("trace length does not match frame")
-    return np.stack([getattr(trace, field) for trace in traces])
+    superior = np.stack([getattr(t, field) for t in traces])
+    if llr.shape == (frames, b, n):
+        llr = llr.reshape(frames * b, n)[_row_order(superior)]
+    elif llr.shape != (frames * b, n):
+        raise ValueError(
+            f"llr must have shape ({frames}, {b}, {n}) or ({frames * b}, {n}) "
+            f"for {frames} traces, got {llr.shape}"
+        )
+    return llr, superior, lists, single
 
 
 def _per_frame(cls: type, **stacked: np.ndarray) -> list:
@@ -533,32 +548,33 @@ def _three_phase(
     """The hierarchical decoder both receivers run, fed by a receiver's table,
     over a stack of T frames.
 
-    ``llr`` holds the receiver's (T, b, n) channel LLRs, one block per row,
-    ``superior`` its (T, b) state vectors and ``pinned`` a (T, b, n) array of
-    the bits it knows before decoding, zero elsewhere.  Phase one decodes the
-    superior blocks of all frames in one call, with the ``sup_frozen``
-    positions pinned.  Phase two decodes each ``(columns, info, fill)`` row
-    group: the cross-block rows at per-block positions ``columns``, certain
-    on superior blocks and erased on degraded ones, as a length-b erasure
-    code with information set ``info`` and frozen bits ``fill``, (b,) for
-    every row or (T * columns.size, b), frame by frame.  The rows of all
-    frames go in one call.  Phase three decodes the degraded blocks of all
-    frames with the ``deg_frozen`` positions pinned, the phase-two rows among
-    them.  Rows never mix: each frame's result is the result of decoding it
-    alone.
+    ``llr`` holds the receiver's channel LLRs as (T * b, n) rows in the
+    ``_row_order`` layout of its (T, b) state vectors ``superior``, and
+    ``pinned`` is a (T, b, n) array of the bits it knows before decoding,
+    zero elsewhere.  Phase one decodes the superior blocks of all frames,
+    the leading rows, in one call with the ``sup_frozen`` positions pinned.
+    Phase two decodes each ``(columns, info, fill)`` row group: the
+    cross-block rows at per-block positions ``columns``, certain on superior
+    blocks and erased on degraded ones, as a length-b erasure code with
+    information set ``info`` and frozen bits ``fill``, (b,) for every row or
+    (T * columns.size, b), frame by frame.  The rows of all frames go in one
+    call.  Phase three decodes the degraded blocks of all frames, the
+    remaining rows, with the ``deg_frozen`` positions pinned, the phase-two
+    rows among them.  Rows never mix: each frame's result is the result of
+    decoding it alone.
 
     Returns the (T, b, n) pre-transform decisions, each group's (T, rows, b)
     decoder-order row decisions and each frame's status.
     """
-    frames, b, n = llr.shape
+    frames, b = superior.shape
+    n = code.n
     pre_hat = np.ascontiguousarray(pinned)
     flat = pre_hat.reshape(frames * b, n)
-    sup = superior.reshape(-1)
-    deg = ~sup
+    order = _row_order(superior)
+    n_sup = np.count_nonzero(superior)
+    sup, deg = order[:n_sup], order[n_sup:]
 
-    block_llr = llr.reshape(frames * b, n)
-    dec_sup, _ = sc_decode_batch(block_llr[sup], sup_frozen, flat[sup], erasure_law=False)
-    flat[sup] = dec_sup
+    flat[sup], _ = sc_decode_batch(llr[:n_sup], sup_frozen, flat[sup], erasure_law=False)
 
     rows = []
     ambiguous = np.zeros(frames, dtype=bool)
@@ -575,8 +591,7 @@ def _three_phase(
             ambiguous |= amb.reshape(frames, columns.size).any(axis=1)
         rows.append(dec_rows)
 
-    dec_deg, _ = sc_decode_batch(block_llr[deg], deg_frozen, flat[deg], erasure_law=False)
-    flat[deg] = dec_deg
+    flat[deg], _ = sc_decode_batch(llr[n_sup:], deg_frozen, flat[deg], erasure_law=False)
     statuses = [DecodeStatus(ok=not a, failed_phase="phase2" if a else None) for a in ambiguous]
     return pre_hat, rows, statuses
 
@@ -588,9 +603,12 @@ def bob_decode(
     main-channel LLRs ``llr``.
 
     Given one (b, n) frame and its ``FadingTrace``, returns
-    ``(msg_hat, rnd_hat, status)``.  Given a (T, b, n) stack and a sequence
-    of T traces, returns the list of the T results, each what that frame
-    alone would give; the stack is decoded in one pass of the engine.
+    ``(msg_hat, rnd_hat, status)``.  Given T frames and a sequence of T
+    traces, returns the list of the T results, each what that frame alone
+    would give; the frames are decoded in one pass of the engine.  They come
+    as a (T, b, n) stack, or as the engine's (T * b, n) rows: every block
+    whose ``main_superior`` state is set, then every other block, each in
+    frame and block order.
 
     Runs the three phases with only the frozen class pinned on superior
     blocks and the cross-block message/random rows decoded in phase two.
@@ -598,8 +616,8 @@ def bob_decode(
     message from randomness.
     """
     P = code.partition
-    llr, (traces,), single = _frames(code, llr, trace)
-    frames, b, n = llr.shape
+    llr, superior, _, single = _frames(code, llr, trace, "main_superior")
+    (frames, b), n = superior.shape, code.n
     # both row kinds carry bits only on the main information set: random
     # rows hold their fill on random_info and the weak-extra message slice
     # on the rest of it
@@ -607,7 +625,7 @@ def bob_decode(
     pre_hat, (dec_rows,), statuses = _three_phase(
         code,
         llr,
-        _superior(code, traces, "main_superior"),
+        superior,
         pinned=np.zeros((frames, b, n), dtype=np.uint8),
         sup_frozen=_mask_of(n, P.frozen),
         row_groups=[(row_classes, P.bec_info_main, np.zeros(b, dtype=np.uint8))],
@@ -650,9 +668,10 @@ def eve_genie_decode(
     observation (the leakage proxy).
 
     Given one (b, n) frame, its ``FadingTrace`` and its ``MessageBundle``,
-    returns ``(rnd_hat, status)``.  Given a (T, b, n) stack with T traces
-    and T message bundles, returns the list of the T results, each what
-    that frame alone would give.
+    returns ``(rnd_hat, status)``.  Given T frames with T traces and T
+    message bundles, returns the list of the T results, each what that
+    frame alone would give.  The frames come as in ``bob_decode``, rows
+    laid out by ``eve_superior``.
 
     Mirrors the receiver's three phases with the eavesdropper's flip laws and
     its own state trace; message-bearing classes are pinned from the genie
@@ -660,8 +679,8 @@ def eve_genie_decode(
     random-fill information sets with the message slices as frozen bits.
     """
     P = code.partition
-    llr, (traces, msgs), single = _frames(code, llr, trace, msg)
-    frames, b, n = llr.shape
+    llr, superior, (msgs,), single = _frames(code, llr, trace, "eve_superior", msg)
+    (frames, b), n = superior.shape, code.n
     msg_shapes, _ = bundle_shapes(code)
     for m in msgs:
         _check_shapes(m, msg_shapes, "msg")
@@ -690,7 +709,7 @@ def eve_genie_decode(
     pre_hat, (dec_secret, dec_random), statuses = _three_phase(
         code,
         llr,
-        _superior(code, traces, "eve_superior"),
+        superior,
         pinned=pinned,
         sup_frozen=_mask_of(n, P.frozen, P.perblock_message, P.crossblock_message),
         row_groups=[

@@ -8,14 +8,17 @@ then the main-channel noise of the whole (b, n) frame, then the
 eavesdropper's.  Each frame's noise is one ``rng.random((b, n))`` draw, row
 by row, so block ``i`` sees the values a per-block draw in block order would.
 
-``run_simulation`` walks the trials in chunks of ``max(1, 2**18 // (b n))``
-frames, so that one receiver's LLRs for a chunk take 2 MB.  For each trial
-of a chunk it draws everything up to the main-channel noise; the chunk's
-frames are then decoded by Bob in one stacked call.  Only after that does
-each trial draw its eavesdropper noise, from its own generator, and the
-chunk goes through the eavesdropper's decoder in one call.  Every trial
-draws from its own generator only, so the records do not depend on the
-chunk size.
+``run_simulation`` walks the trials in chunks of ``max(1, 2**19 // (b n))``
+frames, so that the LLRs of a chunk take 4 MB.  Each trial of a chunk
+first draws its fading trace and bundles and encodes its frame.  Then each
+draws its main-channel noise, and its LLRs go straight into the chunk's
+(T b, n) row buffer, in the decoders' layout: the blocks in the superior
+main state first.  Bob decodes the chunk in one call.  Only then does each
+trial draw its eavesdropper noise, from its own generator, into the same
+buffer laid out by the eavesdropper's states, and the chunk goes through
+the eavesdropper's decoder in one call.  Every trial draws from its own
+generator only, and the decoders give each frame what decoding it alone
+gives, so the records do not depend on the chunk size.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .scheme import (
     IndexPartition,
     MessageBundle,
     RandomBundle,
+    _row_order,
     bob_decode,
     build_code,
     designed_rate,
@@ -59,8 +63,9 @@ __all__ = [
     "write_trials",
 ]
 
-# LLRs per receiver in one chunk of frames: 2 MB of float64
-_CHUNK_LLRS = 1 << 18
+# LLRs in one chunk of frames, the rows both receivers decode in turn:
+# 4 MB of float64, four frames at n = 1024, b = 128
+_CHUNK_LLRS = 1 << 19
 
 # serialized field order is part of the output contract
 TRIAL_FIELDS = ("trial", "seed", "main_superior", "eve_superior", "bob_ok", "bob_bit_errors", "eve_ok")
@@ -194,25 +199,30 @@ def wilson_interval(errors: int, trials: int, z: float = 1.96) -> tuple[float, f
 def _run_chunk(
     code: HierarchicalCode, trials: range, master_seed: int, llr: np.ndarray
 ) -> list[TrialRecord]:
-    # the trials share the (len(trials), b, n) buffer llr: main-channel LLRs
-    # for Bob's decode, then the eavesdropper's for Eve's
+    # the trials share the (len(trials) * b, n) buffer llr, in the decoders'
+    # row layout: main-channel LLRs for Bob's decode, then the
+    # eavesdropper's for Eve's
     params = code.params
-    main_laws = (bsc(params.p1), bsc(params.p2))
-    eve_laws = (bsc(params.p1s), bsc(params.p2s))
     draws = []
-    for t, trial in enumerate(trials):
+    for trial in trials:
         seed = derive_trial_seed(master_seed, trial)
         rng = np.random.default_rng(seed)
         trace = sample_fading(params, code.b, rng)
         msg = MessageBundle.random(code, rng)
         rnd = RandomBundle.random(code, rng)
-        frame = encode(code, msg, rnd)
-        llr[t] = transmit(frame, trace.main_superior, main_laws, rng)
-        draws.append((seed, rng, trace, msg, rnd, frame))
+        draws.append((seed, rng, trace, msg, rnd, encode(code, msg, rnd)))
     seeds, rngs, traces, msgs, rnds, frames = zip(*draws)
+
+    def send(field: str, laws: tuple) -> None:
+        # each frame's LLRs straight into the rows its blocks take
+        superior = np.stack([getattr(trace, field) for trace in traces])
+        rows = np.argsort(_row_order(superior)).reshape(superior.shape)
+        for t, frame in enumerate(frames):
+            llr[rows[t]] = transmit(frame, superior[t], laws, rngs[t])
+
+    send("main_superior", (bsc(params.p1), bsc(params.p2)))
     bob = bob_decode(code, llr, traces)
-    for t, frame in enumerate(frames):
-        llr[t] = transmit(frame, traces[t].eve_superior, eve_laws, rngs[t])
+    send("eve_superior", (bsc(params.p1s), bsc(params.p2s)))
     eve = eve_genie_decode(code, llr, traces, msgs)
 
     records = []
@@ -261,11 +271,11 @@ def run_simulation(
             raise ValueError(f"supplied code does not match the configured {', '.join(wrong)}")
 
     chunk = max(1, _CHUNK_LLRS // (code.b * code.n))
-    llr = np.empty((min(chunk, config.trials), code.b, code.n))
+    llr = np.empty((min(chunk, config.trials) * code.b, code.n))
     records = []
     for start in range(0, config.trials, chunk):
         trials = range(start, min(start + chunk, config.trials))
-        records += _run_chunk(code, trials, config.seed, llr[: len(trials)])
+        records += _run_chunk(code, trials, config.seed, llr[: len(trials) * code.b])
 
     bob_frame_errors = sum(1 for r in records if not r.bob_ok)
     eve_frame_errors = sum(1 for r in records if not r.eve_ok)

@@ -265,7 +265,8 @@ def test_simulate_output_is_pinned(tmp_path, capsys, flags, stdout_sha256, ndjso
     # the fixed-seed output contract: stdout JSON and NDJSON records are
     # byte-identical across refactors; the two short-wide runs have frame
     # failures for both receivers, so their failure paths are pinned too,
-    # and the n=256, b=128 run decodes its 19 frames in chunks of 8, 8 and 3;
+    # and the n=256, b=128 run decodes its 19 frames in chunks of 16 and 3
+    # (its id counts the chunks of 8, 8 and 3 of a 2^18-LLR chunk);
     # the n=1024 run meets the strictest Rate-1 guard of the SC decoder and
     # the b=1024 run its widest erasure calls
     trials = tmp_path / "trials.ndjson"

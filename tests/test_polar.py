@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import sys
 import threading
 import time
@@ -525,6 +526,22 @@ def test_pruned_sc_matches_plain_recursion(case):
     assert np.array_equal(ambiguous, want_ambiguous)
 
 
+@settings(max_examples=80)
+@given(st.one_of(sc_inputs(), pruned_sc_inputs()), st.data())
+def test_sc_batch_commutes_with_row_permutations(case, data):
+    # the three-phase decoder lays a chunk's blocks out superior-first, so
+    # each call sees its rows in another order than the frames give them;
+    # the choices a call makes for its whole batch (the arithmetic, the
+    # Rate-1 guard, the Rate-0 transform) depend on the set of rows only
+    llr, frozen_mask, frozen_values, erasure_law = case
+    perm = np.array(data.draw(st.permutations(range(llr.shape[0]))))
+    decisions, ambiguous = sc_decode_batch(llr, frozen_mask, frozen_values, erasure_law)
+    values = frozen_values[perm] if frozen_values.ndim == 2 else frozen_values
+    got, got_ambiguous = sc_decode_batch(llr[perm], frozen_mask, values, erasure_law)
+    assert np.array_equal(got, decisions[perm])
+    assert np.array_equal(got_ambiguous, ambiguous[perm])
+
+
 @pytest.mark.parametrize("n, magnitude", [(1024, 1.0), (8, 1e-120), (2, 1e-300)])
 def test_rate1_guard_keeps_underflowed_ties(n, magnitude):
     # f applied log2(n) times to these magnitudes underflows to a tie, so
@@ -707,6 +724,24 @@ def test_single_tile_genie_profile_starts_no_thread(monkeypatch):
     assert started == []
     reliability_profile(bsc(0.1), 64, "genie-mc", trials=tile + 1)
     assert len(started) == 1
+
+
+def test_genie_workers_count_errors_in_rows_of_their_own(monkeypatch):
+    # two threads adding into one row can lose counts, but only when their
+    # additions interleave, which no run is sure to show
+    rows = []
+    on_threads = polar._on_threads
+
+    def recording(task, args):
+        rows.append([a[-1] for a in args])
+        on_threads(task, args)
+
+    monkeypatch.setattr(polar, "_on_threads", recording)
+    monkeypatch.setattr(polar, "_GENIE_WORKERS", 3)
+    reliability_profile(bsc(0.11), 64, "genie-mc", trials=_GENIE_TILE // 64 + 1)
+    assert [len(r) for r in rows] == [3]
+    for a, b in itertools.combinations(rows[0], 2):
+        assert not np.shares_memory(a, b)
 
 
 def test_genie_helpers_see_the_callers_errstate(monkeypatch):

@@ -357,8 +357,8 @@ def assert_same_bundle(got, want) -> None:
 
 @given(st.sampled_from(list(STACK_CODES)), st.integers(1, 4), st.integers(0, 2**32 - 1), st.data())
 def test_stacked_decoders_equal_per_frame_decoders(params, frames, seed, data):
-    # one decode of a (T, b, n) stack gives each frame what decoding it alone
-    # gives; a uniform count of superior blocks per frame mixes frames with
+    # one decode of a (T, b, n) stack, or of the same frames as the engine's
+    # rows, gives each frame what decoding it alone gives; a uniform count of superior blocks per frame mixes frames with
     # no superior block, all-superior frames and frames the erasure layer
     # leaves ambiguous in one stack
     code = STACK_CODES[params]
@@ -382,9 +382,21 @@ def test_stacked_decoders_equal_per_frame_decoders(params, frames, seed, data):
         traces.append(trace)
         msgs.append(msg)
 
+    def laid_out(llrs: list, field: str) -> np.ndarray:
+        # the engine's rows: every superior block, then every other block,
+        # each in frame and block order
+        blocks = [(getattr(trace, field)[j], llr[j]) for trace, llr in zip(traces, llrs) for j in range(b)]
+        return np.array([x for s, x in blocks if s] + [x for s, x in blocks if not s])
+
     stacked_bob = bob_decode(code, np.stack(main), traces)
     stacked_eve = eve_genie_decode(code, np.stack(eve), traces, msgs)
+    rows_bob = bob_decode(code, laid_out(main, "main_superior"), traces)
+    rows_eve = eve_genie_decode(code, laid_out(eve, "eve_superior"), traces, msgs)
     assert len(stacked_bob) == len(stacked_eve) == frames
+    for got, want in zip(rows_bob + rows_eve, stacked_bob + stacked_eve):
+        assert got[-1] == want[-1]  # the status
+        for bundle, want_bundle in zip(got[:-1], want[:-1]):
+            assert_same_bundle(bundle, want_bundle)
     for t in range(frames):
         msg_hat, rnd_hat, status = bob_decode(code, main[t], traces[t])
         assert_same_bundle(stacked_bob[t][0], msg_hat)
@@ -448,6 +460,11 @@ def test_decode_input_validation():
         bob_decode(code, llr[:-1], trace)
     with pytest.raises(ValueError, match="traces"):
         bob_decode(code, np.stack([llr, llr]), [trace])
+    # two traces take a (2, 16, 64) stack or (32, 64) rows
+    with pytest.raises(ValueError, match="llr"):
+        bob_decode(code, llr, [trace, trace])
+    with pytest.raises(ValueError, match="llr"):
+        bob_decode(code, np.stack([llr, llr]), trace)
 
 
 def test_target_fractions_sum_to_one_over_block_classes():

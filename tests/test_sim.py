@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,16 +111,59 @@ def test_trials_are_independent_of_run_length(params, trials, seed):
     assert records(trials) == records(trials + 3)[:trials]
 
 
-@pytest.mark.parametrize("frames_per_chunk", [1, 3])
-def test_records_do_not_depend_on_chunk_size(monkeypatch, frames_per_chunk):
-    # one chunk by default; both receivers fail some of these frames, so a
-    # draw taken from the wrong trial's generator shows in the records
-    config = small_config(n=32, b=64, delta=0.9, trials=10, seed=3)
+def fixture_at(q1: float) -> WiretapParams:
+    return WiretapParams(p1=0.02, p2=0.05, p1s=0.11, p2s=0.15, q1=q1)
+
+
+SHORT_WIDE = dict(n=32, b=64, delta=0.9, trials=10, seed=3)
+
+
+@pytest.mark.parametrize(
+    "config, frames_per_chunk",
+    [
+        pytest.param(small_config(**SHORT_WIDE), 1, id="1"),
+        pytest.param(small_config(**SHORT_WIDE), 3, id="3"),
+        # every block superior, then every block degraded: one of the
+        # decoders' two block slices is empty in every chunk
+        pytest.param(small_config(params=fixture_at(1.0), **SHORT_WIDE), 3, id="all-superior"),
+        pytest.param(small_config(params=fixture_at(0.0), **SHORT_WIDE), 3, id="all-degraded"),
+        # independent fading lays the eavesdropper's rows out apart from Bob's
+        pytest.param(small_config(params=IND_WEAK, **SHORT_WIDE), 3, id="independent"),
+        # chunks of 2^18, 2^19 and 2^20 LLRs at n b = 2^16
+        *(
+            pytest.param(small_config(params=IND_WEAK, n=64, b=1024, trials=10, seed=5), k, id=f"2^{e}")
+            for k, e in ((4, 18), (8, 19), (16, 20))
+        ),
+    ],
+)
+def test_records_do_not_depend_on_chunk_size(monkeypatch, config, frames_per_chunk):
+    # against one chunk of every trial; both receivers fail some of the
+    # short-wide frames, so a draw taken from the wrong trial's generator
+    # or a block decoded in another's row shows in the records
+    monkeypatch.setattr(sim, "_CHUNK_LLRS", config.trials * config.b * config.n)
     _, want = run_simulation(config)
-    assert not all(r.bob_ok for r in want) and not all(r.eve_ok for r in want)
+    if config.params == SIM_A:
+        assert not all(r.bob_ok for r in want) and not all(r.eve_ok for r in want)
     monkeypatch.setattr(sim, "_CHUNK_LLRS", frames_per_chunk * config.b * config.n)
     _, got = run_simulation(config)
     assert got == want
+
+
+def test_a_full_chunk_of_fixture_frames_peaks_below_19_bytes_per_llr(monkeypatch):
+    # the decoders take the superior and the degraded blocks of a chunk as
+    # two slices of its row buffer; with a fancy-index copy of each slice
+    # the peak was 22.4 bytes per LLR
+    monkeypatch.setattr(sim, "_CHUNK_LLRS", 1 << 19)
+    config = SimConfig(params=SIM_A, n=1024, b=128, trials=4, seed=5)
+    code = build_code(SIM_A, 1024, 128)
+    run_simulation(config, code=code)  # caches filled outside the count
+    tracemalloc.start()
+    try:
+        run_simulation(config, code=code)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 19 * (1 << 19)
 
 
 def test_summary_aggregates_match_records():
