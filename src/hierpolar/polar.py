@@ -41,15 +41,27 @@ Each call picks its arithmetic from its LLRs.  When they are finite and
 too small for a sum to overflow, f and g skip the infinity handling.
 Otherwise they handle infinities exactly: inf - inf gives 0.
 
+Near the channel a node takes few distinct LLRs when the channel gives
+few.  A value plan, built once per pair of root LLRs and block length and
+cached, holds each such node's values and tables of f and g, for both left
+partial sums when the LLRs are finite, over every pair of them, computed
+with the float levels' own f and g.  A level is coded while its tables
+hold at most ``_GENIE_TILE`` entries: widths n to n/16 for the fixture's
+flip laws (a node there takes at most 2, 3, 5, 9 and 25 values), and every
+level of an erasure law.  A finite flip-law call whose LLRs are all m or
+-m, as a BSC's are, runs those levels on uint8 codes into the values: its
+children's codes are lookups at the index the code pair and the partial
+sum give, the Rate-1 guard and hard decisions are lookups too, and the
+last coded level writes the LLRs that the float recursion goes on from.
+Other calls, the erasure-law ones among them, run on floats throughout.
+
 The ``genie-mc`` profile does not run this recursion.  Its genie knows
 every partial sum, so no decision feeds back: it evolves the all-zero
 codeword's LLRs one tree level at a time with the same f and g, which gives
 each decision LLR of any codeword up to its sign (Arikan, 2009; Vangala,
-Viterbo & Hong, 2015).  Near the channel a node takes few distinct LLRs, so
-those levels run on small integer codes through f and g tables built once
-per call, while the tables hold at most ``_GENIE_TILE`` entries: widths n
-to n/16 for the fixture's flip laws, and every level of an erasure law.
-The tiles of rows run on the calling thread and a helper thread per
+Viterbo & Hong, 2015).  It runs the coded levels of the same value plan,
+all nodes of a level in one lookup of the partial sum 0's tables, then
+floats.  The tiles of rows run on the calling thread and a helper thread per
 further usable CPU (four threads at most).  The threads take the tiles in
 order and draw each one's channel under one lock, so the generator's
 stream and every estimate are the same for any number of threads.
@@ -63,7 +75,7 @@ import functools
 import os
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -328,34 +340,85 @@ def _on_threads(task: Callable[..., None], args: list[tuple]) -> None:
 
 
 def _genie_plan(law: "ChannelLaw", n: int) -> tuple[np.ndarray, bool, list]:
-    # the root's values (unhit, hit), whether they are finite, and code
-    # tables for the tree levels next to the channel.  There a node holds
-    # codes into its values V (sorted below the root); its code pair (i, j),
-    # at entry |V| i + j of its slice of the level's tables, maps to the codes
-    # of f(V[i], V[j]) and V[i] + V[j] in its children's values, computed by
-    # the float levels' own step (np.unique merges 0.0 with -0.0, which no
-    # later f, g or score tells apart).  Levels are coded while their tables
-    # hold at most _GENIE_TILE entries, so codes fit a uint8; the last coded
-    # level's tables hold the child LLRs.  Equal values share their tables
-    mag = _llr_magnitude(law)
-    root = np.array([np.inf, 0.0] if law.is_erasure else [mag, -mag])
+    # genie-mc's view of the value plan of law's channel LLRs: the root's
+    # values (unhit, hit), whether they are finite, and per coded level the
+    # node sizes, table offsets and tables (see _ValuePlan)
+    mag = float(_llr_magnitude(law))
+    return _value_plan((np.inf, 0.0) if law.is_erasure else (mag, -mag), n)[:3]
+
+
+class _Node(NamedTuple):
+    # one node of a value plan, as the decoder reads it: its values V, the
+    # codes (the LLRs, at the last coded level) of f at entry |V| i + j of f
+    # and of g with left partial sum u at entry (u |V| + i) |V| + j of g for
+    # its code pair (i, j) (u = 0 alone in a plan of infinite LLRs), and per
+    # value the hard decision and whether it passes the Rate-1 guard at the
+    # node's width
+    values: np.ndarray
+    f: np.ndarray
+    g: np.ndarray
+    hard: np.ndarray
+    ok: np.ndarray
+
+
+class _ValuePlan(NamedTuple):
+    root: np.ndarray
+    finite: bool
+    # per coded level: the (nodes, 1, 1) sizes |V|, each node's offset in the
+    # level's tables, and the (2, entries) tables of f and of g with u = 0
+    # for every node, side by side: what genie-mc's level-wise lookups read
+    levels: list
+    # per coded level, its nodes in decoder order
+    nodes: list
+
+
+@functools.lru_cache(maxsize=16)
+def _value_plan(root: tuple[float, float], n: int) -> _ValuePlan:
+    # code tables for the SC tree levels next to the channel at block
+    # length n, for a channel whose LLRs take the two root values.  A node
+    # holds codes into its values (the root's as given, sorted below it);
+    # its tables map each code pair to the codes of f and g in its
+    # children's values, computed by the float levels' own f and g
+    # (np.unique merges 0.0 with -0.0, which no later f, g, guard or
+    # decision tells apart).  With finite roots a right child's values take
+    # both partial sums, so no symmetry is assumed; otherwise the partial
+    # sum 0 alone, all that genie-mc reads, which keeps an erasure law's
+    # values at 0 and +inf.  A level is coded while its tables (f, and g for
+    # u = 0) hold at most _GENIE_TILE entries, so a node has at most 256
+    # values and codes fit a uint8; the last coded level's tables hold the
+    # child LLRs.  Equal values share their tables; every array is read-only
+    root = np.array(root)
+    root.flags.writeable = False
     finite = bool(np.isfinite(root).all())
-    pairs, plan, values = {}, [], [root]
-    while len(values) < n and sum(v.size**2 for v in values) <= _GENIE_TILE:
-        for v in values:
-            if v.tobytes() not in pairs:
+    f_of, g_of = (_f_finite, _g_finite) if finite else (_f_combine, _g_combine)
+    sums = np.uint8([0, 1] if finite else [0])
+    kids, levels, nodes, values, more = {}, [], [], [root], n > 1
+    while more:
+        keys = [v.tobytes() for v in values]
+        for key, v in zip(keys, values):
+            if key not in kids:
                 a, b = np.repeat(v, v.size), np.tile(v, v.size)
-                llr = np.empty((2, a.size))
-                _genie_step(a, b, llr[0], llr[1], np.empty_like(a), finite)
-                pairs[v.tobytes()] = llr, [np.unique(x, return_inverse=True) for x in llr]
-        level = [pairs[v.tobytes()] for v in values]
+                llr = f_of(a, b), g_of(np.tile(a, sums.size), np.tile(b, sums.size), np.repeat(sums, a.size))
+                unique = [np.unique(x, return_inverse=True) for x in llr]
+                kids[key] = llr, [vals for vals, _ in unique], [codes.astype(np.uint8) for _, codes in unique]
+        children = [vals for key in keys for vals in kids[key][1]]
+        more = len(children) < n and sum(v.size**2 for v in children) <= _GENIE_TILE
+        floor = _rate1_floor(n >> len(nodes))
+        made = {}  # one _Node per distinct values of the level
+        for key, v in zip(keys, values):
+            if key not in made:
+                f, g = kids[key][2 if more else 0]  # codes, or the LLRs out of the last coded level
+                made[key] = _Node(v, f, g, (v <= 0).view(np.uint8), np.abs(v) >= floor)
+                for array in made[key]:
+                    array.flags.writeable = False
+        nodes.append([made[key] for key in keys])
         size = np.array([v.size for v in values])[:, None, None]
-        codes = np.concatenate([[c for _, c in kids] for _, kids in level], axis=1)
-        plan.append((size, np.cumsum(size**2, axis=0) - size**2, codes.astype(np.uint8)))
-        values = [vals for _, kids in level for vals, _ in kids]
-    if plan:
-        plan[-1] = plan[-1][:2] + (np.concatenate([llr for llr, _ in level], axis=1),)
-    return root, finite, plan
+        tables = np.concatenate([[node.f, node.g[: node.f.size]] for node in nodes[-1]], axis=1)
+        levels.append((size, np.cumsum(size**2, axis=0) - size**2, tables))
+        for array in levels[-1]:
+            array.flags.writeable = False
+        values = children
+    return _ValuePlan(root, finite, levels, nodes)
 
 
 def _genie_step(
@@ -529,7 +592,7 @@ class _SCRun:
     # needs and where the decisions and ambiguity flags go
     __slots__ = (
         "llrs", "sums", "scratch", "spare", "f", "g", "count", "pins", "decisions", "ambiguous",
-        "erasure",
+        "erasure", "plan", "index",
     )
 
 
@@ -583,6 +646,45 @@ def _sc_descend(seg: np.ndarray, lo: int, level: int, run: _SCRun) -> np.ndarray
     return out
 
 
+def _sc_coded(seg: np.ndarray, lo: int, level: int, run: _SCRun) -> np.ndarray:
+    # _sc_descend for a node of the levels next to the channel, on codes:
+    # seg holds its (batch, width) codes into its values, in codeword order.
+    # Its children's codes, or their LLRs below the last coded level, are
+    # lookups of its f and g tables at the index the code pair and the left
+    # partial sum give (see _Node); the guard and hard decisions are lookups
+    # too.  Every index is in range by construction, and mode="clip" spares
+    # np.take the copy of out that its default mode makes
+    w = seg.shape[1]
+    node = run.plan[level][lo // w]
+    if run.count[lo] == run.count[lo + w] and node.ok[seg].all():  # a guarded Rate-1 node
+        x = node.hard[seg]
+        run.decisions[:, lo : lo + w] = polar_transform(x)
+        return x
+    s, idx = node.values.size, run.index[level]
+    child, out = run.llrs[level], run.sums[level]
+    descend = _sc_coded if level + 1 < len(run.plan) else _sc_descend
+    half = w // 2
+    a = seg[:, 0::2]
+    b = seg[:, 1::2]
+    left = out[:, 0::2]
+    x = _pinned(run, lo, half)
+    if x is None:
+        np.multiply(a, s, out=idx, dtype=idx.dtype)
+        idx += b
+        x = descend(np.take(node.f, idx, out=child, mode="clip"), lo, level + 1, run)
+    left[...] = x
+    x = _pinned(run, lo + half, half)
+    if x is None:
+        np.multiply(left, s, out=idx, dtype=idx.dtype)
+        idx += a
+        idx *= s
+        idx += b
+        x = descend(np.take(node.g, idx, out=child, mode="clip"), lo + half, level + 1, run)
+    left ^= x
+    out[:, 1::2] = x
+    return out
+
+
 def _successive_cancellation(
     llr: np.ndarray,
     frozen: np.ndarray,
@@ -606,6 +708,13 @@ def _successive_cancellation(
 
     A Rate-0 node writes its pins without descending; under a flip law a
     guarded Rate-1 node writes its hard decisions.
+
+    A flip-law call whose LLRs all equal m or -m, as one BSC gives them, runs
+    the levels next to the channel on value codes (see _value_plan and
+    _sc_coded).  Their children's codes take about batch x n bytes and their
+    index batch x n (twice that where a node has more than 181 values), and
+    only the levels below them keep LLRs: batch x n/16 floats at the
+    fixture's five coded levels.
     """
     batch, n = llr.shape
     run = _SCRun()
@@ -614,22 +723,50 @@ def _successive_cancellation(
     if _pinned(run, 0, n) is not None:
         return
     # below this bound no sum of n LLRs, nor any f, can reach an infinity
-    finite = max(llr.max(), -llr.min()) < np.finfo(np.float64).max / (2 * n)
+    limit = np.finfo(np.float64).max / (2 * n)
+    m = abs(float(llr[0, 0]))
+    # two counts, where np.abs(llr) would make a float temporary; m = 0
+    # counts every entry twice
+    coded = (
+        not erasure_law
+        and n > 1
+        and m < limit
+        and np.count_nonzero(llr == m) + np.count_nonzero(llr == -m) == llr.size
+    )
+    finite = coded or max(llr.max(), -llr.min()) < limit
     run.f, run.g = (_f_finite, _g_finite) if finite else (_f_combine, _g_combine)
-    flat = np.empty(batch * n, dtype=np.float64)
+    run.plan = _value_plan((m, -m), n).nodes if coded else []
+    top = max(len(run.plan) - 1, 0)  # the first level whose children are LLRs
+    floats = n >> top  # per row: those levels' LLRs and one spare slot
+    flat = np.empty(batch * floats, dtype=np.float64)
     bits = np.empty(2 * batch * n, dtype=np.uint8)
-    run.llrs, run.sums, run.scratch, run.spare = [], [], [], []
+    codes = np.empty(batch * (n - floats), dtype=np.uint8)
+    # indexes reach 2 s^2 for a node of s values
+    wide = any(2 * node.values.size**2 > 1 << 16 for nodes in run.plan for node in nodes)
+    dtype = np.uint32 if wide else np.uint16
+    index = np.empty(batch * n // 2 if coded else 0, dtype=dtype)
+    run.llrs, run.sums, run.scratch, run.spare, run.index = [], [], [None] * top, [None] * top, []
     pos = 0
-    for w in (n >> k for k in range(1, n.bit_length())):  # child widths n/2, .., 1
-        run.llrs.append(flat[pos * batch : (pos + w) * batch].reshape(batch, w))
+    for level, w in enumerate(n >> k for k in range(1, n.bit_length())):  # child widths n/2, .., 1
         run.sums.append(bits[2 * pos * batch : 2 * (pos + w) * batch].reshape(batch, 2 * w))
-        # f's half-width scratch and the Rate-1 guard's full-width one: the
-        # buffers of the levels below plus the one spare slot, all dead
-        # while this level computes f or tests its node
-        run.scratch.append(flat[(n - w) * batch :].reshape(batch, w))
-        run.spare.append(flat[pos * batch :].reshape(batch, 2 * w))
+        if level < len(run.plan):
+            # one index slot for every level: it is dead while a child decodes
+            run.index.append(index[: batch * w].reshape(batch, w))
+        if level < top:
+            run.llrs.append(codes[pos * batch : (pos + w) * batch].reshape(batch, w))
+        else:
+            at = pos - (n - floats)
+            run.llrs.append(flat[at * batch : (at + w) * batch].reshape(batch, w))
+            # f's half-width scratch and the Rate-1 guard's full-width one:
+            # the buffers of the levels below plus the one spare slot, all
+            # dead while this level computes f or tests its node
+            run.scratch.append(flat[(floats - w) * batch :].reshape(batch, w))
+            run.spare.append(flat[at * batch :].reshape(batch, 2 * w))
         pos += w
-    _sc_descend(llr, 0, 0, run)
+    if coded:
+        _sc_coded((llr < 0).view(np.uint8), 0, 0, run)
+    else:
+        _sc_descend(llr, 0, 0, run)
 
 
 def sc_decode_batch(

@@ -552,6 +552,103 @@ def test_rate1_guard_keeps_underflowed_ties(n, magnitude):
     assert not ambiguous.any()
     assert plain_sc(llr, np.zeros(n, bool), np.zeros(n, np.uint8), False)[0].tolist() == [[1] * n]
 
+
+FIXTURE_MAGNITUDES = [float(np.log((1 - p) / p)) for p in (0.02, 0.05, 0.11, 0.15)]
+
+
+@st.composite
+def two_valued_sc_inputs(draw):
+    # a flip-law call whose LLRs all equal m or -m, as one BSC gives them
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        frozen_mask = draw(st.sampled_from(PHASE_MASKS))
+    else:
+        n = 1 << draw(st.integers(0, 12))
+        frozen_mask = rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))
+    n = frozen_mask.size
+    m = draw(
+        st.one_of(
+            # log-uniform up to where a sum of n LLRs could overflow
+            st.floats(-320.0, np.log10(1e308 / (2 * n))).map(lambda e: 10.0**e),
+            st.sampled_from(FIXTURE_MAGNITUDES + [1e-300]),
+            st.floats(36.0, 40.0),  # where f saturates
+        )
+    )
+    rows = draw(st.integers(1, 4))
+    llr = np.where(rng.random((rows, n)) < draw(st.sampled_from([0.0, 0.1, 0.5, 1.0])), -m, m)
+    shape = (rows, n) if draw(st.booleans()) else (n,)
+    frozen_values = rng.integers(0, 2, size=shape, dtype=np.uint8) * draw(st.sampled_from([0, 1]))
+    return llr, frozen_mask, frozen_values
+
+
+@settings(max_examples=120)
+@given(two_valued_sc_inputs())
+def test_two_valued_flip_calls_decode_on_value_codes_as_the_plain_recursion(case):
+    # these calls run the levels next to the channel on value codes; the
+    # decisions must be the float recursion's
+    llr, frozen_mask, frozen_values = case
+    n = frozen_mask.size
+    with mock.patch.object(polar, "_sc_coded", wraps=polar._sc_coded) as coded:
+        decisions, ambiguous = sc_decode_batch(llr, frozen_mask, frozen_values, False)
+    want, want_ambiguous = plain_sc(llr, frozen_mask, frozen_values, False)
+    assert np.array_equal(decisions, want)
+    assert not ambiguous.any() and not want_ambiguous.any()
+    # the coded levels run unless there is no level or the root is Rate-0
+    assert coded.called == (n >= 2 and not frozen_mask.all())
+
+
+@pytest.mark.parametrize("n", [256, 1024, 4096])
+def test_two_valued_calls_whose_nodes_take_over_181_values_decode_as_the_plain_recursion(n):
+    # at m = 1e-300 f underflows to 0 and the sums spread, so some coded
+    # nodes take more than 181 values, and g's index 2 s^2 passes 2^16
+    m = 1e-300
+    assert max(node.values.size for nodes in polar._value_plan((m, -m), n).nodes for node in nodes) > 181
+    rng = np.random.default_rng(n)
+    llr = np.where(rng.random((8, n)) < 0.5, -m, m)
+    for frozen_mask in (rng.random(n) < 0.1, rng.random(n) < 0.5):
+        decisions, _ = sc_decode_batch(llr, frozen_mask, np.zeros(n, np.uint8), False)
+        assert np.array_equal(decisions, plain_sc(llr, frozen_mask, np.zeros(n, np.uint8), False)[0])
+
+
+@pytest.mark.parametrize("n", [64, 1024])
+@pytest.mark.parametrize("p", [0.02, 0.05, 0.11, 0.15])
+def test_value_plan_tables_hold_f_and_g_of_each_value_pair(p, n):
+    # the fixture's flip laws: every entry of a node's f table, and of its g
+    # table for both left partial sums, is f or g of that node's value pair,
+    # as a code into its child's own values or, at the last coded level, as
+    # the LLR itself; genie-mc's level tables are the same tables
+    law, m = bsc(p), float(np.log((1 - p) / p))
+    plan = polar._value_plan((m, -m), n)
+    assert _genie_plan(law, n)[2] is plan.levels
+    assert plan.nodes[0][0].values.tolist() == plan.root.tolist() == [m, -m]
+    assert len(plan.nodes) == len(plan.levels) >= 1
+    for k, (nodes, (size, base, tables)) in enumerate(zip(plan.nodes, plan.levels)):
+        assert len(nodes) == 2**k == size.size
+        last = k == len(plan.nodes) - 1
+        floor = polar._rate1_floor(n >> k)
+        for j, node in enumerate(nodes):
+            values, s = node.values, node.values.size
+            assert size[j, 0, 0] == s
+            a, b = np.repeat(values, s), np.tile(values, s)
+            f = polar._f_finite(a, b)
+            g = [polar._g_finite(a, b, np.full(s * s, u, np.uint8)) for u in (0, 1)]
+            if last:
+                assert node.f.dtype == node.g.dtype == np.float64
+                got_f, got_g = node.f, node.g
+            else:
+                assert node.f.dtype == node.g.dtype == np.uint8
+                left, right = plan.nodes[k + 1][2 * j].values, plan.nodes[k + 1][2 * j + 1].values
+                assert node.f.max() < left.size and node.g.max() < right.size
+                got_f, got_g = left[node.f], right[node.g]
+            assert node.f.shape == (s * s,) and node.g.shape == (2 * s * s,)
+            assert got_f.tolist() == f.tolist()
+            assert got_g.tolist() == np.concatenate(g).tolist()
+            at = base[j, 0, 0]
+            assert tables[:, at : at + s * s].tolist() == [node.f.tolist(), node.g[: s * s].tolist()]
+            assert node.hard.tolist() == (values <= 0).tolist()
+            assert node.ok.tolist() == (np.abs(values) >= floor).tolist()
+
+
 @given(
     st.sampled_from([bsc(0.11), bsc(0.3), bec(0.4)]),
     st.sampled_from([2, 4, 8, 16]),

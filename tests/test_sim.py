@@ -27,7 +27,7 @@ from hierpolar import (
     wilson_interval,
     write_trials,
 )
-from hierpolar import sim
+from hierpolar import polar, scheme, sim
 from hierpolar.sim import TRIAL_FIELDS, _manual_toy
 
 SIM_A = WiretapParams(p1=0.02, p2=0.05, p1s=0.11, p2s=0.15, q1=0.5)
@@ -164,6 +164,41 @@ def test_a_full_chunk_of_fixture_frames_peaks_below_19_bytes_per_llr(monkeypatch
     finally:
         tracemalloc.stop()
     assert peak <= 19 * (1 << 19)
+
+
+def test_fixture_flip_law_calls_decode_on_value_codes(monkeypatch):
+    # phases one and three decode each block under one BSC, so every such
+    # call of both receivers runs the coded levels; phase two's erasure-law
+    # calls stay on floats
+    receiver, calls, roots = [], [], []
+    coded, decode = polar._sc_coded, scheme.sc_decode_batch
+
+    def count_roots(seg, lo, level, run):
+        roots.append(level == 0)
+        return coded(seg, lo, level, run)
+
+    def record(llr, frozen_mask, frozen_values, erasure_law):
+        before = sum(roots)
+        out = decode(llr, frozen_mask, frozen_values, erasure_law)
+        calls.append((receiver[-1], erasure_law, sum(roots) - before))
+        return out
+
+    def tagged(name, run):
+        return lambda *args: receiver.append(name) or run(*args)
+
+    monkeypatch.setattr(polar, "_sc_coded", count_roots)
+    monkeypatch.setattr(scheme, "sc_decode_batch", record)
+    monkeypatch.setattr(sim, "bob_decode", tagged("bob", sim.bob_decode))
+    monkeypatch.setattr(sim, "eve_genie_decode", tagged("eve", sim.eve_genie_decode))
+    run_simulation(SimConfig(params=SIM_A, n=1024, b=128, trials=4, seed=5))
+    # one chunk: each receiver's phase one and phase three, one coded root
+    # each, and its phase-two calls, none
+    assert sorted((who, coded_roots) for who, erasure, coded_roots in calls if not erasure) == [
+        ("bob", 1), ("bob", 1), ("eve", 1), ("eve", 1)
+    ]
+    phase_two = [(who, coded_roots) for who, erasure, coded_roots in calls if erasure]
+    assert {who for who, _ in phase_two} == {"bob", "eve"}
+    assert all(coded_roots == 0 for _, coded_roots in phase_two)
 
 
 def test_summary_aggregates_match_records():
